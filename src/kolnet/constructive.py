@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .nets import ClippedNetwork, Parametrization, compose_average, evaluate
+from .nets import Parametrization, compose_average, evaluate
 from .sde import AffineMap, KolmogorovProblem, extract_affine_batch, mc_reference_grid
 
 __all__ = ["BuildSpec", "BuildReport", "BoundsReport", "build_mc_network", "verify_construction_bounds"]
@@ -111,16 +111,14 @@ def verify_construction_bounds(built: Parametrization, eta: Parametrization, map
 class BuildReport:
     retry_errors: list  # estimated L2 error per retry
     chosen_retry: int
-    bounds: BoundsReport
-    theta_norm: float
-    param_count: int
-    max_width: int
+    bounds: BoundsReport  # size and magnitude of the chosen network, with their caps
 
     def save_csv(self, path) -> None:
+        b = self.bounds
         with open(path, "w") as fh:
             fh.write("retry,l2_error_estimate,theta_norm,param_count\n")
             for r, err in enumerate(self.retry_errors):
-                fh.write(f"{r},{err:.17g},{self.theta_norm:.17g},{self.param_count}\n")
+                fh.write(f"{r},{err:.17g},{b.theta_norm:.17g},{b.param_count}\n")
 
 
 def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
@@ -168,8 +166,5 @@ def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
         retry_errors=errors,
         chosen_retry=int(np.argmin(errors)),
         bounds=bounds,
-        theta_norm=best.max_norm(),
-        param_count=best.architecture.param_count,
-        max_width=best.architecture.max_width,
     )
     return best, report

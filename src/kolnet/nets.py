@@ -8,7 +8,7 @@ averaged composition of a network with a family of affine maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -70,32 +70,49 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _dense_shape(W: np.ndarray) -> tuple:
+    """(rows, columns) of a weight matrix, or of the block-diagonal matrix it stands for."""
+    if W.ndim == 3:
+        n, out_w, in_w = W.shape
+        return n * out_w, n * in_w
+    return W.shape
+
+
 @dataclass(frozen=True)
 class Parametrization:
-    """Per-layer weight matrices and bias vectors of a ReLU network."""
+    """Per-layer weight matrices and bias vectors of a ReLU network.
 
-    layers: tuple  # tuple of (W: (a_l, a_{l-1}), B: (a_l,)) pairs
+    A weight is either a dense (a_l, a_{l-1}) matrix or a block-diagonal one
+    stored as its n diagonal blocks, an (n, b_l, b_{l-1}) array standing for
+    the (n*b_l, n*b_{l-1}) matrix whose off-diagonal entries are exact zeros.
+    Widths, parameter counts and serialised files are those of the dense
+    matrix; only storage and evaluation cost differ.
+    """
+
+    layers: tuple  # tuple of (W: (a_l, a_{l-1}) or (n, b_l, b_{l-1}), B: (a_l,)) pairs
 
     def __post_init__(self):
         frozen = []
         for l, (W, B) in enumerate(self.layers, start=1):
             W = _freeze(np.atleast_2d(W))
             B = _freeze(np.atleast_1d(B))
-            if B.ndim != 1 or W.shape[0] != B.shape[0]:
+            if W.ndim > 3:
+                raise ValueError(f"layer {l}: weight must be a matrix or a block stack, got {W.shape}")
+            if B.ndim != 1 or _dense_shape(W)[0] != B.shape[0]:
                 raise ValueError(f"layer {l}: weight/bias shape mismatch {W.shape} vs {B.shape}")
             frozen.append((W, B))
         for l in range(1, len(frozen)):
-            if frozen[l][0].shape[1] != frozen[l - 1][0].shape[0]:
+            in_w, out_w = _dense_shape(frozen[l][0])[1], _dense_shape(frozen[l - 1][0])[0]
+            if in_w != out_w:
                 raise ValueError(
-                    f"layer {l + 1} input width {frozen[l][0].shape[1]} does not match "
-                    f"layer {l} output width {frozen[l - 1][0].shape[0]}"
+                    f"layer {l + 1} input width {in_w} does not match layer {l} output width {out_w}"
                 )
         object.__setattr__(self, "layers", tuple(frozen))
 
     @property
     def architecture(self) -> Architecture:
-        widths = (self.layers[0][0].shape[1],) + tuple(W.shape[0] for W, _ in self.layers)
-        return Architecture(widths)
+        shapes = [_dense_shape(W) for W, _ in self.layers]
+        return Architecture((shapes[0][1],) + tuple(rows for rows, _ in shapes))
 
     def max_norm(self) -> float:
         return max(
@@ -116,7 +133,12 @@ def evaluate(params: Parametrization, X: np.ndarray) -> np.ndarray:
     h = X
     last = len(params.layers) - 1
     for l, (W, B) in enumerate(params.layers):
-        h = h @ W.T + B
+        if W.ndim == 3:
+            rows, (n, out_w, in_w) = h.shape[0], W.shape
+            blocks = np.einsum("rji,joi->rjo", h.reshape(rows, n, in_w), W)
+            h = blocks.reshape(rows, n * out_w) + B
+        else:
+            h = h @ W.T + B
         if l != last:
             np.maximum(h, 0.0, out=h)
     return h
@@ -218,7 +240,10 @@ def compose_average(eta: Parametrization, maps) -> Parametrization:
     Block construction: the first layer stacks V_1 M_j rows, middle layers
     are block-diagonal copies of eta's layers, and the last layer averages
     the n branches with weight 1/n.  Resulting architecture is
-    (b_0, n*b_1, ..., n*b_{L-1}, b_L) for eta of architecture b.  For a
+    (b_0, n*b_1, ..., n*b_{L-1}, b_L) for eta of architecture b.  Each
+    middle layer is stored as its n diagonal blocks, an (n, b_l, b_{l-1})
+    array (see ``Parametrization``), so storage and evaluation cost
+    O(n * P(b)) instead of the O(n^2 * P(b)) of the dense matrix.  For a
     single affine layer (L(b) = 1) the construction degenerates to the
     exact averaged affine map.
     """
@@ -240,14 +265,34 @@ def compose_average(eta: Parametrization, maps) -> Parametrization:
     B1 = np.concatenate([V1 @ N + A1 for _, N in maps])
     layers = [(W1, B1)]
     for V_l, A_l in eta.layers[1:-1]:
-        out_w, in_w = V_l.shape
-        W = np.zeros((n * out_w, n * in_w))
-        for j in range(n):
-            W[j * out_w : (j + 1) * out_w, j * in_w : (j + 1) * in_w] = V_l
-        layers.append((W, np.tile(A_l, n)))
+        layers.append((np.tile(V_l, (n, 1, 1)), np.tile(A_l, n)))
     V_L, A_L = eta.layers[-1]
     layers.append((np.tile(V_L / n, (1, n)), A_L))
     return Parametrization(tuple(layers))
+
+
+def _format_rows(W: np.ndarray) -> list:
+    """Rows of a 2-D array as space-separated ``%.17g`` tokens.
+
+    Only entries other than +0.0 go through the formatter; each +0.0 is
+    written as its token "0" directly, which keeps sparse rows cheap.
+    """
+    keep = (W != 0) | np.signbit(W)
+    tokens = np.full(W.shape, "0", dtype=object)
+    tokens[keep] = [f"{x:.17g}" for x in W[keep].tolist()]
+    return [" ".join(row) for row in tokens.tolist()]
+
+
+def _weight_lines(W: np.ndarray) -> list:
+    """Text rows of a weight; a block stack is written as its dense matrix."""
+    if W.ndim == 2:
+        return _format_rows(W)
+    n, out_w, in_w = W.shape
+    rows = _format_rows(W.reshape(n * out_w, in_w))
+    return [
+        "0 " * (k // out_w * in_w) + row + " 0" * ((n - 1 - k // out_w) * in_w)
+        for k, row in enumerate(rows)
+    ]
 
 
 def save_network(params: Parametrization, path) -> None:
@@ -255,39 +300,57 @@ def save_network(params: Parametrization, path) -> None:
     lines = ["arch: " + " ".join(str(w) for w in params.architecture.widths)]
     for l, (W, B) in enumerate(params.layers, start=1):
         lines.append(f"W{l}")
-        for row in W:
-            lines.append(" ".join(f"{x:.17g}" for x in row))
+        lines.extend(_weight_lines(W))
         lines.append(f"B{l}")
-        lines.append(" ".join(f"{x:.17g}" for x in B))
+        lines.extend(_format_rows(B[None, :]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_network(path) -> Parametrization:
-    """Read a network written by save_network."""
+    """Read a network written by save_network.
+
+    A file that is cut short, has a row with the wrong number of entries or
+    a token that is not a number raises ValueError naming the file and line.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("arch:"):
-        raise ValueError(f"{path}: missing 'arch:' header")
-    widths = [int(w) for w in lines[0].split(":", 1)[1].split()]
-    arch = Architecture(tuple(widths))
-    pos = 1
+        lines = iter([(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()])
+
+    def next_line(what: str):
+        line = next(lines, None)
+        if line is None:
+            raise ValueError(f"{path}: file ends before {what}")
+        return line
+
+    def tag(name: str) -> None:
+        no, text = next_line(f"'{name}'")
+        if text != name:
+            raise ValueError(f"{path}:{no}: expected '{name}'")
+
+    def numbers(what: str, length: int) -> list:
+        no, text = next_line(what)
+        tokens = text.split()
+        if len(tokens) != length:
+            raise ValueError(f"{path}:{no}: {what} has {len(tokens)} entries, expected {length}")
+        try:
+            return [float(x) for x in tokens]
+        except ValueError:
+            raise ValueError(f"{path}:{no}: {what} holds a token that is not a number") from None
+
+    no, text = next_line("the 'arch:' header")
+    try:
+        if not text.startswith("arch:"):
+            raise ValueError("missing 'arch:' header")
+        widths = Architecture(tuple(int(w) for w in text[len("arch:"):].split())).widths
+    except ValueError as exc:
+        raise ValueError(f"{path}:{no}: {exc}") from None
     layers = []
     for l in range(1, len(widths)):
-        if lines[pos] != f"W{l}":
-            raise ValueError(f"{path}: expected 'W{l}' at line {pos + 1}")
-        pos += 1
-        W = np.array(
-            [[float(x) for x in lines[pos + r].split()] for r in range(widths[l])]
-        )
-        pos += widths[l]
-        if lines[pos] != f"B{l}":
-            raise ValueError(f"{path}: expected 'B{l}'")
-        pos += 1
-        B = np.array([float(x) for x in lines[pos].split()])
-        pos += 1
-        layers.append((W, B))
-    params = Parametrization(tuple(layers))
-    if params.architecture != arch:
-        raise ValueError(f"{path}: layer shapes do not match declared architecture")
-    return params
+        tag(f"W{l}")
+        W = [numbers(f"row {r + 1} of W{l}", widths[l - 1]) for r in range(widths[l])]
+        tag(f"B{l}")
+        layers.append((np.array(W), np.array(numbers(f"B{l}", widths[l]))))
+    extra = next(lines, None)
+    if extra is not None:
+        raise ValueError(f"{path}:{extra[0]}: unexpected text after the last layer")
+    return Parametrization(tuple(layers))

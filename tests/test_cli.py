@@ -118,6 +118,17 @@ def test_build_then_evaluate(tmp_path, capsys):
     assert err < 1e-2  # n=64 Monte-Carlo width is already accurate
 
 
+def test_evaluate_truncated_network_is_usage_error(tmp_path, capsys):
+    net_file = tmp_path / "net.txt"
+    net_file.write_text("arch: 1 2 1\nW1\n0.5\n")
+    code = run([
+        "evaluate", PUT_D1, str(net_file), "--seed", "3",
+        "--out-dir", str(tmp_path), "--grid", "4", "--paths", "100",
+    ])
+    assert code == EXIT_USAGE
+    assert f"{net_file}: file ends before row 2 of W1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -136,6 +147,21 @@ def test_train_pipeline_small(tmp_path, capsys):
     assert (tmp_path / "trained_network.txt").exists()
     trace = (tmp_path / "trace.csv").read_text().splitlines()
     assert trace[0] == "iter,batch_risk,full_risk"
+
+
+def test_train_reruns_byte_identical(tmp_path, capsys):
+    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+    for d in (a_dir, b_dir):
+        assert run([
+            "train", PUT_D1, "--m", "2000", "--arch", "1,8,1", "--iters", "200",
+            "--eval-every", "100", "--seed", "6", "--out-dir", str(d),
+            "--grid", "16", "--paths", "500",
+        ]) == EXIT_OK
+    # Timing is printed, never written: it differs on every run.
+    assert "wall_clock_s" in capsys.readouterr().out
+    assert "wall_clock_s" not in (a_dir / "summary.csv").read_text()
+    for name in ("summary.csv", "trace.csv", "trained_network.txt"):
+        assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
 
 
 def test_train_missing_args_usage_error(tmp_path):

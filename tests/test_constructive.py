@@ -105,8 +105,9 @@ def test_build_report_bounds_hold():
     spec = BuildSpec(n=32, payoff=prob.payoff, retries=2, grid_size=32, seed=3)
     built, report = build_mc_network(prob, spec)
     assert report.bounds.all_ok
-    assert report.param_count == built.architecture.param_count
-    assert report.theta_norm == built.max_norm()
+    assert report.bounds.param_count == built.architecture.param_count
+    assert report.bounds.theta_norm == built.max_norm()
+    assert report.bounds.max_width == built.architecture.max_width
     assert len(report.retry_errors) == 2
 
 

@@ -435,3 +435,136 @@ def test_saved_file_has_header(tmp_path):
     save_network(p, path)
     first = path.read_text().splitlines()[0]
     assert first == "arch: 2 3 1"
+
+
+def dense_layers(params):
+    """Layers with every (n, b_l, b_{l-1}) block stack expanded to its dense matrix."""
+    layers = []
+    for W, B in params.layers:
+        if W.ndim == 3:
+            n, out_w, in_w = W.shape
+            dense = np.zeros((n * out_w, n * in_w))
+            for j in range(n):
+                dense[j * out_w : (j + 1) * out_w, j * in_w : (j + 1) * in_w] = W[j]
+            W = dense
+        layers.append((W, B))
+    return layers
+
+
+def oracle_text(params):
+    """The file format written entry by entry from the dense layers."""
+    lines = ["arch: " + " ".join(str(w) for w in params.architecture.widths)]
+    for l, (W, B) in enumerate(dense_layers(params), start=1):
+        lines.append(f"W{l}")
+        lines.extend(" ".join(f"{x:.17g}" for x in row) for row in W)
+        lines.append(f"B{l}")
+        lines.append(" ".join(f"{x:.17g}" for x in B))
+    return "\n".join(lines) + "\n"
+
+
+def test_save_composed_network_matches_dense_oracle(tmp_path):
+    rs = np.random.RandomState(29)
+    eta = put_payoff_network(rs.uniform(0.1, 1.0, size=2), 1.0)
+    maps = [AffineMap(rs.randn(2, 2), rs.randn(2)) for _ in range(8)]
+    theta = compose_average(eta, maps)
+    assert [W.ndim for W, _ in theta.layers] == [2, 3, 2]
+    path = tmp_path / "net.txt"
+    save_network(theta, path)
+    assert path.read_text() == oracle_text(theta)
+    X = rs.uniform(-2, 2, size=(100, 2))
+    assert np.array_equal(evaluate(load_network(path), X), evaluate(theta, X))
+
+
+def test_save_special_values_match_dense_oracle(tmp_path):
+    # Signed zeros, the smallest subnormal, huge and inexact values, in a
+    # dense layer, a block stack and the biases.
+    special = [0.0, -0.0, 5e-324, 1e300, 0.1, -0.0]
+    W1 = np.array(special).reshape(6, 1)
+    blocks = np.array(special[::-1] + special).reshape(3, 2, 2)
+    W3 = np.array([special])
+    p = Parametrization(((W1, np.array(special)), (blocks, np.array(special)), (W3, [-0.0])))
+    path = tmp_path / "net.txt"
+    save_network(p, path)
+    text = path.read_text()
+    assert text == oracle_text(p)
+    assert "\n0 -0 4.9406564584124654e-324 1.0000000000000001e+300 0.10000000000000001 -0\n" in text
+    q = load_network(path)
+    for (Wq, Bq), (Wd, Bd) in zip(q.layers, dense_layers(p)):
+        assert np.array_equal(Wq, Wd) and np.array_equal(np.signbit(Wq), np.signbit(Wd))
+        assert np.array_equal(Bq, Bd) and np.array_equal(np.signbit(Bq), np.signbit(Bd))
+
+
+def test_block_layers_evaluate_like_dense_expansion():
+    rs = np.random.RandomState(30)
+    X = rs.uniform(-2, 2, size=(500, 3))
+    # 1x1 blocks (every shipped payoff): products over exact zeros change nothing.
+    eta = put_payoff_network(rs.uniform(0.1, 1.0, size=3), 1.5)
+    maps = [AffineMap(rs.randn(3, 3), rs.randn(3)) for _ in range(16)]
+    theta = compose_average(eta, maps)
+    dense = Parametrization(tuple(dense_layers(theta)))
+    assert dense.architecture == theta.architecture
+    assert np.array_equal(evaluate(theta, X), evaluate(dense, X))
+    # Larger blocks sum in another order: equal to rounding.
+    eta = random_params((3, 4, 5, 3, 2), seed=31)
+    theta = compose_average(eta, maps)
+    assert [W.shape for W, _ in theta.layers[1:-1]] == [(16, 5, 4), (16, 3, 5)]
+    dense = Parametrization(tuple(dense_layers(theta)))
+    got, want = evaluate(theta, X), evaluate(dense, X)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert theta.max_norm() == dense.max_norm()
+
+
+def test_parametrization_rejects_bad_block_stack():
+    with pytest.raises(ValueError):
+        Parametrization(((np.ones((2, 1)), np.zeros(2)), (np.ones((2, 1, 1)), np.zeros(3))))
+    with pytest.raises(ValueError):
+        Parametrization(((np.ones((2, 1)), np.zeros(2)), (np.ones((3, 1, 1)), np.zeros(3))))
+    with pytest.raises(ValueError):
+        Parametrization(((np.ones((1, 1, 1, 1)), np.zeros(1)),))
+
+
+def test_compose_average_huge_n_stays_linear():
+    # The dense middle layer would hold n^2 = 1e10 entries (80 GB); the block
+    # stack holds n.
+    n, d, D = 100_000, 2, 1.0
+    rs = np.random.RandomState(32)
+    c = np.array([0.4, 0.6])
+    Ms, Ns = 1.0 + 0.1 * rs.randn(n, d, d), 0.1 * rs.randn(n, d)
+    theta = compose_average(put_payoff_network(c, D), list(zip(Ms, Ns)))
+    assert theta.architecture.widths == (d, n, n, 1)
+    assert sum(W.size + B.size for W, B in theta.layers) == n * (d + 1) + 2 * n + n + 1
+    X = rs.uniform(0.5, 1.5, size=(64, d))
+    z = X @ (Ms.transpose(0, 2, 1) @ c).T + Ns @ c
+    want = np.mean(np.minimum(np.maximum(D - z, 0.0), D), axis=1)
+    assert np.max(np.abs(evaluate(theta, X)[:, 0] - want)) <= 1e-12
+
+
+def test_load_truncated_file_names_file_and_line(tmp_path):
+    p = random_params((3, 4, 1), seed=33)
+    path = tmp_path / "net.txt"
+    save_network(p, path)
+    lines = path.read_text().splitlines()
+    for keep in range(1, len(lines)):
+        path.write_text("\n".join(lines[:keep]) + "\n")
+        with pytest.raises(ValueError, match=f"{path}: file ends before"):
+            load_network(path)
+
+
+def test_load_malformed_rows_name_file_and_line(tmp_path):
+    p = random_params((3, 4, 1), seed=34)
+    path = tmp_path / "net.txt"
+    save_network(p, path)
+    lines = path.read_text().splitlines()
+    cases = {
+        3: " ".join(lines[3].split()[:-1]),  # W1 row 2 one entry short
+        7: lines[7] + " 1.0",  # B1 one entry long
+        9: lines[9].replace(lines[9].split()[0], "x1"),  # W2 token not a number
+        0: "arch: 3 0 1",
+    }
+    for at, bad in cases.items():
+        path.write_text("\n".join(lines[:at] + [bad] + lines[at + 1 :]) + "\n")
+        with pytest.raises(ValueError, match=f"{path}:{at + 1}: "):
+            load_network(path)
+    path.write_text("\n".join(lines + ["W3"]) + "\n")
+    with pytest.raises(ValueError, match=f"{path}:{len(lines) + 1}: unexpected"):
+        load_network(path)
