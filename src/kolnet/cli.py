@@ -401,6 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_counts(args) -> None:
+    for name in ("grid", "paths", "m", "iters", "batch", "eval_every"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be a positive integer")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -408,8 +415,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_counts(args)
         return args.func(args)
-    except (UsageError, FileNotFoundError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SimulationError, OverflowError, ArithmeticError, RuntimeError) as exc:

@@ -79,6 +79,98 @@ def test_simulate_missing_problem(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+GBM_D1 = """dim: 1
+u: 0.5
+v: 1.5
+T: 1.0
+D: 1.0
+steps: 16
+gbm: 0.0 0.2
+payoff: put 1.0 1.0
+"""
+
+EULER_D1 = """dim: 1
+u: 0.5
+v: 1.5
+T: 1.0
+D: 1.0
+steps: 16
+drift_matrix:
+  {a}
+drift_vector: 0.0
+diffusion0:
+  0.1
+diffusion1:
+  0.0
+payoff: put 1.0 1.0
+"""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (GBM_D1.replace("gbm: 0.0 0.2\n", ""), ": needs 'gbm' or 'drift_matrix'"),
+        (GBM_D1.replace("put 1.0 1.0", "put 1.0"), ":8: 'payoff' needs 2 values, got 1"),
+        (EULER_D1.format(a="0.0").replace("steps: 16", "steps: 0"), ": steps must be >= 1"),
+        (GBM_D1.replace("payoff: put 1.0 1.0", "payoff_file:"), ":8: 'payoff_file' needs a file name"),
+    ],
+    ids=["no_dynamics", "payoff_without_cap", "zero_steps", "empty_payoff_file"],
+)
+def test_simulate_bad_problem_file_is_usage_error(tmp_path, capsys, text, message):
+    problem = tmp_path / "p.txt"
+    problem.write_text(text)
+    code = run([
+        "simulate", str(problem), "--seed", "1", "--out-dir", str(tmp_path),
+        "--grid", "2", "--paths", "10",
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"{problem}{message}" in err
+    assert "Traceback" not in err
+
+
+def test_payoff_file_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    problem = tmp_path / "p.txt"
+    problem.write_text(GBM_D1.replace("payoff: put 1.0 1.0", "payoff_file: ."))
+    code = run(["simulate", str(problem), "--seed", "1", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "Is a directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", PUT_D1, "--grid", "0"],
+        ["simulate", PUT_D1, "--paths", "0"],
+        ["train", PUT_D1, "--m", "0", "--arch", "1,4,1"],
+        ["train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--iters", "-1"],
+        ["train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--batch", "0"],
+        ["scaling-study", "--dims", "1,2,3", "--eval-every", "0"],
+    ],
+    ids=["grid", "paths", "m", "iters", "batch", "eval_every"],
+)
+def test_non_positive_counts_are_usage_errors(tmp_path, capsys, argv):
+    code = run(argv + ["--seed", "1", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "must be a positive integer" in err
+    assert not any(tmp_path.iterdir())  # rejected before any output is written
+
+
+def test_simulate_diverging_problem_is_numeric_failure(tmp_path, capsys):
+    problem = tmp_path / "p.txt"
+    problem.write_text(EULER_D1.format(a="1e30"))
+    code = run([
+        "simulate", str(problem), "--seed", "1", "--out-dir", str(tmp_path),
+        "--grid", "2", "--paths", "10",
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert "non-finite state at Euler step" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_reproducible(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):

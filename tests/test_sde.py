@@ -4,6 +4,7 @@ Monte-Carlo expectation oracle."""
 import numpy as np
 import pytest
 
+from kolnet import rng, sde
 from kolnet.analytic import lognormal_capped_put
 from kolnet.nets import Parametrization, put_payoff_network, realize
 from kolnet.sde import (
@@ -11,6 +12,7 @@ from kolnet.sde import (
     AffineMap,
     BrownianDriver,
     KolmogorovProblem,
+    SimulationError,
     extract_affine_batch,
     extract_affine_representation,
     gbm_coefficients,
@@ -19,6 +21,7 @@ from kolnet.sde import (
     problem_from_text,
     simulate_terminal,
 )
+from kolnet.sde import _terminal_batch
 
 
 def zero_coeffs(d):
@@ -142,11 +145,7 @@ def test_gbm_terminal_mean():
     # E[S_T] = x0 * exp(mu T) for GBM; check with 10^5 exact draws.
     prob = put_problem(mu=0.05, sigma=0.2, T=1.0)
     n = 100000
-    from kolnet import rng
-
     keys = rng.stream_key(rng.child_seeds(31, np.arange(n)))
-    from kolnet.sde import _terminal_batch
-
     S = _terminal_batch(prob, np.ones((n, 1)), keys)[:, 0]
     se = S.std(ddof=1) / np.sqrt(n)
     assert abs(S.mean() - np.exp(0.05)) < 4 * se
@@ -168,6 +167,83 @@ def test_seed_determinism_bit_identical():
     a = simulate_terminal(prob, x0, BrownianDriver(42, prob.steps, 2))
     b = simulate_terminal(prob, x0, BrownianDriver(42, prob.steps, 2))
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Euler kernel: bit-identity with the path-major loop and error reporting
+
+
+def path_major_euler(problem, X0, keys):
+    """Reference: the path-major Euler loop, one (n, d) step at a time."""
+    co = problem.coeffs
+    d = problem.dim
+    dt = problem.horizon / problem.steps
+    sqdt = np.sqrt(dt)
+    X = X0.astype(np.float64).copy()
+    for k in range(problem.steps):
+        counters = np.arange(k * d, (k + 1) * d)
+        dB = sqdt * rng.gaussians(keys[:, None], counters[None, :])
+        drift = X @ co.A.T + co.b
+        diff = dB @ co.C[0].T
+        for i in range(d):
+            diff += X[:, i : i + 1] * (dB @ co.C[i + 1].T)
+        X = X + drift * dt + diff
+        if not np.all(np.isfinite(X)):
+            raise SimulationError(k, f"non-finite state at Euler step {k}")
+    return X
+
+
+def test_euler_kernel_bit_identical_to_path_major_loop():
+    d = 3
+    prob = generic_problem(random_affine_coeffs(d, seed=4), d=d, steps=16)
+    assert not prob.coeffs.is_diagonal_gbm()
+    n = 2 * sde._EULER_CHUNK + 123  # three chunks, the last one partial
+    X0 = np.random.RandomState(5).uniform(-1, 1, size=(n, d))
+    keys = rng.stream_key(rng.child_seeds(17, np.arange(n)))
+    got = _terminal_batch(prob, X0, keys)
+    assert got.shape == (n, d)
+    assert np.array_equal(got, path_major_euler(prob, X0, keys))
+
+
+def test_extract_affine_batch_across_chunk_boundary():
+    # d=2 gives 3 rows per map, so the map at the first chunk boundary has
+    # its rows split between two chunks.
+    d = 2
+    prob = generic_problem(random_affine_coeffs(d, seed=6), d=d, steps=16)
+    boundary = sde._EULER_CHUNK // (d + 1)
+    seeds = np.arange(boundary + 3)
+    Ms, Ns = extract_affine_batch(prob, seeds)
+    for j in (0, boundary - 1, boundary, boundary + 1, len(seeds) - 1):
+        rep = extract_affine_representation(prob, BrownianDriver(int(seeds[j]), 16, d))
+        assert np.array_equal(Ms[j], rep.M), j
+        assert np.array_equal(Ns[j], rep.N), j
+
+
+def exploding_problem(steps=64):
+    """d=1, no noise, dX = 1e10 X dt: a path from x0 overflows after about
+    (308 - log10|x0|) / 8.2 steps, and a path from 0 stays at 0."""
+    Z = np.zeros((1, 1))
+    coeffs = AffineCoefficients(np.array([[1e10]]), np.zeros(1), (Z, Z.copy()))
+    return generic_problem(coeffs, d=1, steps=steps)
+
+
+def test_simulation_error_names_earliest_step_over_all_chunks():
+    prob = exploding_problem()
+    n = 2 * sde._EULER_CHUNK + 10
+    X0 = np.zeros((n, 1))
+    early, late = 2 * sde._EULER_CHUNK + 7, 5  # late path sits in the first chunk
+    X0[late], X0[early] = 1.0, 1e300
+    keys = rng.stream_key(rng.child_seeds(2, np.arange(n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError) as first_chunk_only:
+            _terminal_batch(prob, X0[: late + 1], keys[: late + 1])
+        with pytest.raises(SimulationError) as reference:
+            path_major_euler(prob, X0, keys)
+        with pytest.raises(SimulationError) as got:
+            _terminal_batch(prob, X0, keys)
+    assert reference.value.step < first_chunk_only.value.step
+    assert got.value.step == reference.value.step
+    assert f"step {reference.value.step}" in str(got.value)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +463,51 @@ payoff: put 0.5 0.5 2.0
 def test_problem_text_missing_payoff_rejected():
     with pytest.raises(ValueError):
         problem_from_text("dim: 1\nu: 0\nv: 1\nT: 1\nD: 1\ngbm: 0.0 0.2\n")
+
+
+def test_problem_requires_positive_steps():
+    payoff = put_payoff_network([1.0], 1.0)
+    with pytest.raises(ValueError, match="steps"):
+        KolmogorovProblem(gbm_coefficients(1, 0.0, 0.2), 1.0, payoff, 1.0, 0.0, 1.0, steps=0)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (("gbm: 0.0 0.2\n", ""), "t.txt: needs 'gbm' or 'drift_matrix'"),
+        (("payoff: put 1.0 1.0", "payoff: put 1.0"), "t.txt:10: 'payoff' needs 2 values, got 1"),
+        (("steps: 128", "steps: 0"), "t.txt: steps must be >= 1"),
+        (("u: 0.5", "u: half"), "t.txt:4: 'u' holds a value that is not a number"),
+        (("dim: 1", "dim: 0"), "t.txt:3: 'dim' must be at least 1"),
+        (("T: 1.0\n", ""), "t.txt: missing key 'T'"),
+        (("gbm: 0.0 0.2", "gbm: 0.0 0.2 0.3"), "t.txt:9: 'gbm' needs 2 values, got 3"),
+        (("payoff: put", "payoff: call"), "t.txt:10: unknown payoff spec 'call'"),
+        (("dim: 1", "  dim: 1"), "t.txt:3: continuation line without a key"),
+    ],
+)
+def test_problem_text_errors_name_file_and_line(edit, message):
+    text = PROBLEM_TEXT.replace(*edit)
+    assert text != PROBLEM_TEXT
+    with pytest.raises(ValueError) as exc:
+        problem_from_text(text, source="t.txt")
+    assert str(exc.value) == message
+
+
+def test_problem_text_matrix_rows_checked():
+    text = """dim: 2
+u: -1
+v: 1
+T: 1
+D: 2
+drift_matrix:
+  0.1 0.0
+  0.0
+drift_vector: 0 0
+"""
+    with pytest.raises(ValueError, match="^t.txt:8: 'drift_matrix' needs 2 values, got 1$"):
+        problem_from_text(text, source="t.txt")
+    with pytest.raises(ValueError, match="^t.txt:6: 'drift_matrix' needs 2 rows"):
+        problem_from_text(text.replace("  0.0\n", ""), source="t.txt")
 
 
 def test_problem_content_hash_stable():
