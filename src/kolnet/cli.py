@@ -121,17 +121,14 @@ def cmd_certify(args) -> int:
         raise UsageError("d must be a positive integer")
     if args.family == "put":
         fam = put_family()
-
-        def arch_of_delta(delta):
-            return Architecture((args.d, 1, 1, 1)), args.D
     else:
         fam = ApproximationFamily(
             c=args.c, nu=args.nu, alpha=args.alpha, beta=args.beta,
             gamma=args.gamma, kappa=args.kappa, lmbda=args.lmbda,
         )
 
-        def arch_of_delta(delta):
-            return Architecture((args.d, 1, 1, 1)), args.D
+    def arch_of_delta(delta):
+        return Architecture((args.d, 1, 1, 1)), args.D
 
     cert = kolmogorov_certificate(
         args.d, args.eps, args.rho, fam, arch_of_delta, C=args.C, D=args.D

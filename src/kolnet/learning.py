@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
-from .nets import Architecture, ClippedNetwork, Parametrization, evaluate
+from .nets import Architecture, ClippedNetwork, Parametrization
 from .sde import KolmogorovProblem, _terminal_batch
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _MAGIC = b"KOLD"
+_HEADER = struct.Struct("<IIQdddQ")  # version, d, m, u, v, D, seed
 _VERSION = 1
 
 
@@ -57,8 +58,8 @@ class Dataset:
         return self.inputs.shape[1]
 
     def save(self, path, u: float, v: float, D: float) -> None:
-        header = _MAGIC + struct.pack(
-            "<IIQdddQ", _VERSION, self.d, self.m, u, v, D, self.seed & 0xFFFFFFFFFFFFFFFF
+        header = _MAGIC + _HEADER.pack(
+            _VERSION, self.d, self.m, u, v, D, self.seed & 0xFFFFFFFFFFFFFFFF
         )
         with open(path, "wb") as fh:
             fh.write(header)
@@ -68,18 +69,27 @@ class Dataset:
 
     @staticmethod
     def load(path) -> "Dataset":
+        """Read a file written by ``save``.
+
+        A file that is not a dataset, is cut short or has bytes after the
+        labels raises ValueError naming the file.
+        """
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _MAGIC:
-                raise ValueError(f"{path}: not a dataset file")
-            version, d, m, u, v, D, seed = struct.unpack(
-                "<IIQdddQ", fh.read(struct.calcsize("<IIQdddQ"))
-            )
-            if version != _VERSION:
-                raise ValueError(f"{path}: unsupported version {version}")
-            problem_hash = fh.read(16).decode("ascii").strip()
-            X = np.frombuffer(fh.read(8 * m * d), dtype=np.float64).reshape(m, d)
-            Y = np.frombuffer(fh.read(8 * m), dtype=np.float64)
+            raw = fh.read()
+        if raw[: len(_MAGIC)] != _MAGIC:
+            raise ValueError(f"{path}: not a dataset file")
+        body = len(_MAGIC) + _HEADER.size + 16
+        if len(raw) < body:
+            raise ValueError(f"{path}: file ends inside the {body}-byte header")
+        version, d, m, u, v, D, seed = _HEADER.unpack_from(raw, len(_MAGIC))
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported version {version}")
+        size = body + 8 * m * (d + 1)
+        if len(raw) != size:
+            raise ValueError(f"{path}: file has {len(raw)} bytes, expected {size} for m={m}, d={d}")
+        problem_hash = raw[body - 16:body].decode("ascii").strip()
+        X = np.frombuffer(raw, np.float64, m * d, body).reshape(m, d)
+        Y = np.frombuffer(raw, np.float64, m, body + 8 * m * d)
         return Dataset(X, Y, problem_hash, seed)
 
     def to_csv(self, path) -> None:
@@ -150,48 +160,63 @@ class FitReport:
                 fh.write(f"{it},{br:.17g},{fr:.17g}\n")
 
 
-def _init_params(arch: Architecture, gen: np.random.Generator, constant_only: bool):
-    Ws, Bs = [], []
-    w = arch.widths
-    for l in range(1, len(w)):
-        bound = np.sqrt(6.0 / (w[l - 1] + w[l]))
-        if constant_only:
-            Ws.append(np.zeros((w[l], w[l - 1])))
-        else:
-            Ws.append(gen.uniform(-bound, bound, size=(w[l], w[l - 1])))
-        Bs.append(np.zeros(w[l]))
+def _layer_views(flat: np.ndarray, widths: tuple):
+    """Per-layer (W, B) views into a flat buffer: all weights first, then all biases."""
+    Ws, Bs, off = [], [], 0
+    for l in range(1, len(widths)):
+        size = widths[l] * widths[l - 1]
+        Ws.append(flat[off:off + size].reshape(widths[l], widths[l - 1]))
+        off += size
+    for w in widths[1:]:
+        Bs.append(flat[off:off + w])
+        off += w
     return Ws, Bs
 
 
-def _forward_backward(Ws, Bs, X, Y, D):
-    """Quadratic loss on clipped output; returns (batch risk, grads).
+def _init_params(arch: Architecture, gen: np.random.Generator, constant_only: bool):
+    """Flat parameter buffer: Glorot-uniform weights (layer by layer), zero biases."""
+    w = arch.widths
+    theta = np.zeros(arch.param_count)
+    if not constant_only:
+        for l, W in enumerate(_layer_views(theta, w)[0], start=1):
+            bound = np.sqrt(6.0 / (w[l - 1] + w[l]))
+            W[...] = gen.uniform(-bound, bound, size=W.shape)
+    return theta
 
-    The clip passes gradient 1 strictly inside (-D, D) and 0 outside
-    (subgradient 0 at the kink).
+
+def _forward_backward(Ws, Bs, gWs, gBs, X, Y, D, acts, deltas):
+    """Quadratic loss on clipped output: returns the batch risk, writes the
+    gradients into gWs, gBs.
+
+    acts[l] and deltas[l] are (batch, a_{l+1}) work buffers for layer l+1's
+    activation (the pre-activation for the output layer) and its
+    back-propagated residual.  The clip passes gradient 1 strictly inside
+    (-D, D) and 0 outside (subgradient 0 at the kink).
     """
-    acts = [X]
-    pre = []
     h = X
     last = len(Ws) - 1
     for l, (W, B) in enumerate(zip(Ws, Bs)):
-        z = h @ W.T + B
-        pre.append(z)
-        h = np.maximum(z, 0.0) if l != last else z
-        acts.append(h)
-    raw = pre[-1][:, 0]
-    out = np.clip(raw, -D, D)
-    res = out - Y
+        z = acts[l]
+        np.matmul(h, W.T, out=z)
+        z += B
+        if l != last:
+            np.maximum(z, 0.0, out=z)
+        h = z
+    raw = acts[last][:, 0]
+    res = np.clip(raw, -D, D) - Y
     risk = float(np.mean(res**2))
-    m = X.shape[0]
-    dz = np.where(np.abs(raw) < D, 2.0 * res / m, 0.0)[:, None]
-    gWs, gBs = [None] * len(Ws), [None] * len(Ws)
+    deltas[last][:, 0] = np.where(np.abs(raw) < D, 2.0 * res / X.shape[0], 0.0)
     for l in range(last, -1, -1):
-        inp = np.maximum(pre[l - 1], 0.0) if l > 0 else X
-        gWs[l] = dz.T @ inp
-        gBs[l] = dz.sum(axis=0)
+        dz = deltas[l]
+        np.matmul(dz.T, acts[l - 1] if l > 0 else X, out=gWs[l])
+        np.sum(dz, axis=0, out=gBs[l])
         if l > 0:
-            dz = (dz @ Ws[l]) * (pre[l - 1] > 0)
-    return risk, gWs, gBs
+            if l == last:  # output width 1: dz @ W is an outer product
+                np.multiply(dz, Ws[l], out=deltas[l - 1])
+            else:
+                np.matmul(dz, Ws[l], out=deltas[l - 1])
+            deltas[l - 1] *= acts[l - 1] > 0
+    return risk
 
 
 def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
@@ -201,19 +226,32 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
     best full-data-risk parameter vector seen along the trajectory
     (evaluated every ``eval_every`` steps and at the end), so extending the
     iteration budget can never worsen the reported risk.
+
+    Parameters, gradients and both Adam moments are flat buffers (weights
+    first, then biases) with per-layer views, so an Adam step is one
+    vectorised update; with ``constant_only`` it covers the bias tail only.
+    The batch-sized layer buffers are allocated once per run.
     """
     if data.m == 0:
         raise ValueError("empty dataset")
-    if config.architecture.input_width != data.d:
+    arch = config.architecture
+    if arch.input_width != data.d:
         raise ValueError("architecture input width does not match dataset")
     D = config.clip_amplitude
     start = time.perf_counter()
     gen = np.random.default_rng(np.random.PCG64(config.seed))
-    Ws, Bs = _init_params(config.architecture, gen, config.constant_only)
-    mWs = [np.zeros_like(W) for W in Ws]
-    vWs = [np.zeros_like(W) for W in Ws]
-    mBs = [np.zeros_like(B) for B in Bs]
-    vBs = [np.zeros_like(B) for B in Bs]
+    theta = _init_params(arch, gen, config.constant_only)
+    grad = np.empty_like(theta)
+    Ws, Bs = _layer_views(theta, arch.widths)
+    gWs, gBs = _layer_views(grad, arch.widths)
+    batch = min(config.batch_size, data.m)
+    X = np.empty((batch, data.d))
+    Y = np.empty(batch)
+    acts = [np.empty((batch, w)) for w in arch.widths[1:]]
+    deltas = [np.empty((batch, w)) for w in arch.widths[1:]]
+    n_trained = sum(arch.widths[1:]) if config.constant_only else theta.size  # bias tail
+    p, g = theta[-n_trained:], grad[-n_trained:]
+    m1, m2 = np.zeros_like(p), np.zeros_like(p)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     R = config.parameter_bound
 
@@ -224,38 +262,31 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
     divergence_cap = 4.0 * D * D + 1.0
     trace = []
     best_risk = full_risk()
-    best = ([W.copy() for W in Ws], [B.copy() for B in Bs])
+    best = theta.copy()
     trace.append((0, best_risk, best_risk))
     for it in range(1, config.iterations + 1):
-        idx = gen.integers(0, data.m, size=min(config.batch_size, data.m))
-        risk, gWs, gBs = _forward_backward(Ws, Bs, data.inputs[idx], data.labels[idx], D)
+        idx = gen.integers(0, data.m, size=batch)
+        np.take(data.inputs, idx, axis=0, out=X)
+        np.take(data.labels, idx, out=Y)
+        risk = _forward_backward(Ws, Bs, gWs, gBs, X, Y, D, acts, deltas)
         if not np.isfinite(risk) or risk > divergence_cap:
             raise RuntimeError(
                 f"training diverged at iteration {it} (batch risk {risk}); trace: {trace}"
             )
-        t = it
-        corr1 = 1.0 - beta1**t
-        corr2 = 1.0 - beta2**t
-        for l in range(len(Ws)):
-            if not config.constant_only:
-                mWs[l] = beta1 * mWs[l] + (1 - beta1) * gWs[l]
-                vWs[l] = beta2 * vWs[l] + (1 - beta2) * gWs[l] ** 2
-                Ws[l] -= config.step_size * (mWs[l] / corr1) / (
-                    np.sqrt(vWs[l] / corr2) + eps
-                )
-            mBs[l] = beta1 * mBs[l] + (1 - beta1) * gBs[l]
-            vBs[l] = beta2 * vBs[l] + (1 - beta2) * gBs[l] ** 2
-            Bs[l] -= config.step_size * (mBs[l] / corr1) / (np.sqrt(vBs[l] / corr2) + eps)
-            if config.project:
-                np.clip(Ws[l], -R, R, out=Ws[l])
-                np.clip(Bs[l], -R, R, out=Bs[l])
+        corr1 = 1.0 - beta1**it
+        corr2 = 1.0 - beta2**it
+        m1 = beta1 * m1 + (1 - beta1) * g
+        m2 = beta2 * m2 + (1 - beta2) * g**2
+        p -= config.step_size * (m1 / corr1) / (np.sqrt(m2 / corr2) + eps)
+        if config.project:
+            np.clip(theta, -R, R, out=theta)
         if it % config.eval_every == 0 or it == config.iterations:
             fr = full_risk()
             trace.append((it, risk, fr))
             if fr < best_risk:
                 best_risk = fr
-                best = ([W.copy() for W in Ws], [B.copy() for B in Bs])
-    trained = Parametrization(tuple(zip(*best)))
+                best = theta.copy()
+    trained = Parametrization(tuple(zip(*_layer_views(best, arch.widths))))
     final = empirical_risk(ClippedNetwork(trained, D), data)
     return FitReport(
         final_risk=final,
@@ -322,18 +353,7 @@ def bias_variance_report(
 
     best_class_risk = np.inf
     for t in range(trials):
-        cfg_t = TrainConfig(
-            architecture=config.architecture,
-            clip_amplitude=config.clip_amplitude,
-            parameter_bound=config.parameter_bound,
-            batch_size=config.batch_size,
-            step_size=config.step_size,
-            iterations=config.iterations,
-            eval_every=config.eval_every,
-            seed=rng.child_seed(seed, 0xF17 + t),
-            project=config.project,
-            constant_only=config.constant_only,
-        )
+        cfg_t = replace(config, seed=rng.child_seed(seed, 0xF17 + t))
         fit_t = train_erm(data, cfg_t)
         r = empirical_risk(ClippedNetwork(fit_t.trained, config.clip_amplitude), holdout)
         best_class_risk = min(best_class_risk, r)

@@ -123,25 +123,53 @@ class Parametrization:
         return self.max_norm() <= R
 
 
+# A chunk is a multiple of _CHUNK_ROWS rows, so chunks start on BLAS's row
+# blocking, widened for narrow nets up to _CHUNK_ENTRIES entries per layer
+# buffer.  The last chunk takes the remainder because BLAS rounds differently
+# for small row counts: no matmul sees fewer rows than a chunk unless X does.
+_CHUNK_ROWS = 1024
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _chunk_rows(widths: tuple) -> int:
+    return _CHUNK_ROWS * max(1, _CHUNK_ENTRIES // (_CHUNK_ROWS * max(widths[1:])))
+
+
 def evaluate(params: Parametrization, X: np.ndarray) -> np.ndarray:
-    """Batch forward pass: X is (n, a_0), result is (n, a_L)."""
+    """Batch forward pass: X is (n, a_0), result is (n, a_L).
+
+    Rows go through in fixed chunks (the last one up to twice as long); each
+    hidden layer's chunk buffer is allocated once and reused, so working
+    memory is O(chunk * width), not O(n * width).  Every row comes out as in
+    an unchunked pass.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.architecture.input_width:
-        raise ValueError(
-            f"input has shape {X.shape}, expected (n, {params.architecture.input_width})"
-        )
-    h = X
+    widths = params.architecture.widths
+    if X.ndim != 2 or X.shape[1] != widths[0]:
+        raise ValueError(f"input has shape {X.shape}, expected (n, {widths[0]})")
+    n, rows = X.shape[0], _chunk_rows(widths)
+    chunks = max(1, n // rows)
+    tail_lo = (chunks - 1) * rows
+    out = np.empty((n, widths[-1]))
+    hidden = [np.empty((n - tail_lo, w)) for w in widths[1:-1]]
     last = len(params.layers) - 1
-    for l, (W, B) in enumerate(params.layers):
-        if W.ndim == 3:
-            rows, (n, out_w, in_w) = h.shape[0], W.shape
-            blocks = np.einsum("rji,joi->rjo", h.reshape(rows, n, in_w), W)
-            h = blocks.reshape(rows, n * out_w) + B
-        else:
-            h = h @ W.T + B
-        if l != last:
-            np.maximum(h, 0.0, out=h)
-    return h
+    for c in range(chunks):
+        lo = c * rows
+        hi = n if c == chunks - 1 else lo + rows
+        h = X[lo:hi]
+        for l, (W, B) in enumerate(params.layers):
+            z = out[lo:hi] if l == last else hidden[l][: hi - lo]
+            if W.ndim == 3:
+                blocks, out_w, in_w = W.shape
+                np.einsum("rji,joi->rjo", h.reshape(hi - lo, blocks, in_w), W,
+                          out=z.reshape(hi - lo, blocks, out_w))
+            else:
+                np.matmul(h, W.T, out=z)
+            z += B
+            if l != last:
+                np.maximum(z, 0.0, out=z)
+            h = z
+    return out
 
 
 def realize(params: Parametrization, x: Sequence[float]) -> np.ndarray:

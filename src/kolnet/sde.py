@@ -227,12 +227,14 @@ class KolmogorovProblem:
         return h.hexdigest()[:16]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _terminal_batch(problem: KolmogorovProblem, X0: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Terminal values for a batch of paths; path i uses stream keys[i].
 
     X0 is (n, d); keys is (n,) uint64.  Step k of path i draws its d normals
     at counters (keys[i], k*d + j), the layout of BrownianDriver.normals, so a
-    single-path driver reproduces batch results.
+    single-path driver reproduces batch results.  Overflow raises no numpy
+    warning: the isfinite checks turn it into SimulationError.
     """
     co = problem.coeffs
     d, T = problem.dim, problem.horizon

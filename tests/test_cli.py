@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,11 +162,14 @@ def test_non_positive_counts_are_usage_errors(tmp_path, capsys, argv):
 def test_simulate_diverging_problem_is_numeric_failure(tmp_path, capsys):
     problem = tmp_path / "p.txt"
     problem.write_text(EULER_D1.format(a="1e30"))
-    code = run([
-        "simulate", str(problem), "--seed", "1", "--out-dir", str(tmp_path),
-        "--grid", "2", "--paths", "10",
-    ])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([
+            "simulate", str(problem), "--seed", "1", "--out-dir", str(tmp_path),
+            "--grid", "2", "--paths", "10",
+        ])
     err = capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert code == EXIT_NUMERIC
     assert "non-finite state at Euler step" in err
     assert "Traceback" not in err

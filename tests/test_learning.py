@@ -1,6 +1,8 @@
 """Tests for dataset generation, empirical risk, ERM training, and the
 error-decomposition report."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,34 @@ def test_dataset_save_load_round_trip(tmp_path):
     path2 = tmp_path / "data2.bin"
     generate_dataset(prob, 256, seed=5).save(path2, prob.u, prob.v, prob.clip_amplitude)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _saved_dataset_bytes(tmp_path):
+    prob = put_problem(d=2)
+    path = tmp_path / "data.bin"
+    generate_dataset(prob, 10, seed=5).save(path, prob.u, prob.v, prob.clip_amplitude)
+    return path, path.read_bytes()
+
+
+def test_dataset_load_truncated_header_names_file(tmp_path):
+    path, raw = _saved_dataset_bytes(tmp_path)
+    path.write_bytes(raw[:20])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: file ends inside the 68-byte header")):
+        Dataset.load(path)
+
+
+def test_dataset_load_truncated_body_names_file(tmp_path):
+    path, raw = _saved_dataset_bytes(tmp_path)
+    path.write_bytes(raw[:-8])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: file has {len(raw) - 8} bytes, expected {len(raw)}")):
+        Dataset.load(path)
+
+
+def test_dataset_load_trailing_bytes_names_file(tmp_path):
+    path, raw = _saved_dataset_bytes(tmp_path)
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: file has {len(raw) + 1} bytes, expected {len(raw)}")):
+        Dataset.load(path)
 
 
 def test_dataset_csv_export(tmp_path):
@@ -267,6 +297,103 @@ def test_trained_outputs_clipped():
     f = report.network
     X = np.random.RandomState(0).uniform(-5, 5, size=(1000, 1))
     assert np.all(np.abs(f(X)) <= 1.0)
+
+
+def _reference_train(data, cfg):
+    """Per-layer forward/backward and Adam, one fresh array per operation.
+
+    An independent copy of the straightforward training loop (unchunked
+    full-data risk, separate weight and bias lists); ``train_erm`` must
+    follow the same trajectory bit for bit.
+    """
+    D, R = cfg.clip_amplitude, cfg.parameter_bound
+    gen = np.random.default_rng(np.random.PCG64(cfg.seed))
+    w = cfg.architecture.widths
+    Ws, Bs = [], []
+    for l in range(1, len(w)):
+        bound = np.sqrt(6.0 / (w[l - 1] + w[l]))
+        if cfg.constant_only:
+            Ws.append(np.zeros((w[l], w[l - 1])))
+        else:
+            Ws.append(gen.uniform(-bound, bound, size=(w[l], w[l - 1])))
+        Bs.append(np.zeros(w[l]))
+
+    def forward(X):
+        pre, h = [], X
+        for l, (W, B) in enumerate(zip(Ws, Bs)):
+            z = h @ W.T + B
+            pre.append(z)
+            h = np.maximum(z, 0.0) if l != len(Ws) - 1 else z
+        return pre
+
+    def full_risk():
+        out = np.clip(forward(data.inputs)[-1][:, 0], -D, D)
+        return float(np.mean((out - data.labels) ** 2))
+
+    mWs, vWs = [np.zeros_like(W) for W in Ws], [np.zeros_like(W) for W in Ws]
+    mBs, vBs = [np.zeros_like(B) for B in Bs], [np.zeros_like(B) for B in Bs]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    best_risk = full_risk()
+    best = ([W.copy() for W in Ws], [B.copy() for B in Bs])
+    trace = [(0, best_risk, best_risk)]
+    for it in range(1, cfg.iterations + 1):
+        idx = gen.integers(0, data.m, size=min(cfg.batch_size, data.m))
+        X, Y = data.inputs[idx], data.labels[idx]
+        pre = forward(X)
+        raw = pre[-1][:, 0]
+        res = np.clip(raw, -D, D) - Y
+        risk = float(np.mean(res**2))
+        dz = np.where(np.abs(raw) < D, 2.0 * res / X.shape[0], 0.0)[:, None]
+        gWs, gBs = [None] * len(Ws), [None] * len(Ws)
+        for l in range(len(Ws) - 1, -1, -1):
+            gWs[l] = dz.T @ (np.maximum(pre[l - 1], 0.0) if l > 0 else X)
+            gBs[l] = dz.sum(axis=0)
+            if l > 0:
+                dz = (dz @ Ws[l]) * (pre[l - 1] > 0)
+        corr1, corr2 = 1.0 - beta1**it, 1.0 - beta2**it
+        for l in range(len(Ws)):
+            if not cfg.constant_only:
+                mWs[l] = beta1 * mWs[l] + (1 - beta1) * gWs[l]
+                vWs[l] = beta2 * vWs[l] + (1 - beta2) * gWs[l] ** 2
+                Ws[l] -= cfg.step_size * (mWs[l] / corr1) / (np.sqrt(vWs[l] / corr2) + eps)
+            mBs[l] = beta1 * mBs[l] + (1 - beta1) * gBs[l]
+            vBs[l] = beta2 * vBs[l] + (1 - beta2) * gBs[l] ** 2
+            Bs[l] -= cfg.step_size * (mBs[l] / corr1) / (np.sqrt(vBs[l] / corr2) + eps)
+            if cfg.project:
+                np.clip(Ws[l], -R, R, out=Ws[l])
+                np.clip(Bs[l], -R, R, out=Bs[l])
+        if it % cfg.eval_every == 0 or it == cfg.iterations:
+            fr = full_risk()
+            trace.append((it, risk, fr))
+            if fr < best_risk:
+                best_risk = fr
+                best = ([W.copy() for W in Ws], [B.copy() for B in Bs])
+    return trace, list(zip(*best))
+
+
+@pytest.mark.parametrize(
+    "m, extra",
+    [
+        (600, dict(batch_size=64)),
+        (100, dict(batch_size=256)),  # batch larger than the dataset
+        (600, dict(batch_size=64, parameter_bound=0.3, project=True)),
+        (600, dict(batch_size=64, constant_only=True)),
+    ],
+    ids=["plain", "batch_gt_m", "projected", "constant_only"],
+)
+def test_train_erm_matches_per_layer_reference(m, extra):
+    data = generate_dataset(put_problem(d=2), m, seed=17)
+    cfg = TrainConfig(
+        architecture=Architecture((2, 8, 6, 1)), clip_amplitude=1.0,
+        step_size=1e-2, iterations=300, eval_every=70, seed=3, **extra,
+    )
+    report = train_erm(data, cfg)
+    trace, layers = _reference_train(data, cfg)
+    assert np.array_equal(np.array(report.trace), np.array(trace))
+    assert len(report.trained.layers) == len(layers)
+    for (W, B), (W_ref, B_ref) in zip(report.trained.layers, layers):
+        assert np.array_equal(W, W_ref)
+        assert np.array_equal(B, B_ref)
 
 
 # ---------------------------------------------------------------------------

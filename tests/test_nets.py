@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kolnet import nets
 from kolnet.nets import (
     Architecture,
     ClippedNetwork,
@@ -512,6 +513,46 @@ def test_block_layers_evaluate_like_dense_expansion():
     got, want = evaluate(theta, X), evaluate(dense, X)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert theta.max_norm() == dense.max_norm()
+
+
+def unchunked_forward(params, X):
+    """All rows at once, one fresh array per layer."""
+    h, last = X, len(params.layers) - 1
+    for l, (W, B) in enumerate(params.layers):
+        if W.ndim == 3:
+            n, out_w, in_w = W.shape
+            h = np.einsum("rji,joi->rjo", h.reshape(len(h), n, in_w), W)
+            h = h.reshape(len(h), n * out_w) + B
+        else:
+            h = h @ W.T + B
+        if l != last:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+def chunked_cases():
+    rs = np.random.RandomState(34)
+    maps = [AffineMap(rs.randn(3, 3), rs.randn(3)) for _ in range(16)]
+    return {
+        "dense": random_params((3, 40, 70, 2), seed=35),
+        "block": compose_average(random_params((3, 4, 5, 3, 1), seed=36), maps),
+    }
+
+
+@pytest.mark.parametrize("case", ["dense", "block"])
+def test_evaluate_chunks_match_unchunked_forward(case):
+    params = chunked_cases()[case]
+    rows = nets._chunk_rows(params.architecture.widths)
+    X = np.random.RandomState(37).uniform(-2, 2, size=(2 * rows + 3, 3))
+    got = evaluate(params, X)
+    assert got.shape == (2 * rows + 3, params.architecture.output_width)
+    assert np.array_equal(got, unchunked_forward(params, X))
+
+
+@pytest.mark.parametrize("case", ["dense", "block"])
+def test_evaluate_zero_rows(case):
+    params = chunked_cases()[case]
+    assert evaluate(params, np.zeros((0, 3))).shape == (0, params.architecture.output_width)
 
 
 def test_parametrization_rejects_bad_block_stack():
