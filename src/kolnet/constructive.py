@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rng
 from .nets import Parametrization, compose_average, evaluate
-from .sde import AffineMap, KolmogorovProblem, extract_affine_batch, mc_reference_grid
+from .sde import KolmogorovProblem, extract_affine_batch, mc_reference_grid
 
 __all__ = ["BuildSpec", "BuildReport", "BoundsReport", "build_mc_network", "verify_construction_bounds"]
 
@@ -77,8 +77,10 @@ class BoundsReport:
         return self.param_ok and self.theta_ok and self.width_ok and self.depth_ok
 
 
-def verify_construction_bounds(built: Parametrization, eta: Parametrization, maps) -> BoundsReport:
-    """Recompute the construction caps from (eta, maps) and check them.
+def verify_construction_bounds(
+    built: Parametrization, eta: Parametrization, M: np.ndarray, N: np.ndarray
+) -> BoundsReport:
+    """Recompute the construction caps from eta and the (n, d, d), (n, d) map stacks.
 
     Caps: P(a) <= n^2 P(b); max-norm <= sqrt(d) ||eta||_inf
     max_j(||M_j||_F + ||N_j||_2 + 1); depth preserved; max width n*||b||_inf
@@ -86,15 +88,11 @@ def verify_construction_bounds(built: Parametrization, eta: Parametrization, map
     which holds for every build this module produces with n >= input and
     output widths).
     """
-    maps = list(maps)
-    n = len(maps)
+    n = len(M)
     b = eta.architecture
     a = built.architecture
     d = b.input_width
-    max_map = max(
-        float(np.linalg.norm(np.asarray(m.M))) + float(np.linalg.norm(np.asarray(m.N))) + 1.0
-        for m in maps
-    )
+    max_map = float(np.max(np.linalg.norm(M, axis=(1, 2)) + np.linalg.norm(N, axis=1))) + 1.0
     return BoundsReport(
         param_count=a.param_count,
         param_cap=n**2 * b.param_count,
@@ -148,16 +146,15 @@ def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
     for retry in range(spec.retries):
         map_seeds = rng.child_seeds(rng.child_seed(spec.seed, retry + 1), np.arange(spec.n))
         M, N = extract_affine_batch(problem, map_seeds)
-        maps = [AffineMap(M[j], N[j]) for j in range(spec.n)]
-        candidate = compose_average(spec.payoff, maps)
+        candidate = compose_average(spec.payoff, M, N)
         pred = np.clip(evaluate(candidate, grid)[:, 0], -D, D)
         err = float(np.mean((pred - ref_vals) ** 2))
         errors.append(err)
         if err < best_err:
             best_err = err
             best = candidate
-            best_maps = maps
-    bounds = verify_construction_bounds(best, spec.payoff, best_maps)
+            best_maps = M, N
+    bounds = verify_construction_bounds(best, spec.payoff, *best_maps)
     if not (bounds.param_ok and bounds.theta_ok and bounds.depth_ok):
         raise AssertionError(f"construction bounds violated: {bounds}")
     if bounds.max_width > bounds.width_expected:

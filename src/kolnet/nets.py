@@ -173,7 +173,11 @@ def evaluate(params: Parametrization, X: np.ndarray) -> np.ndarray:
 
 
 def realize(params: Parametrization, x: Sequence[float]) -> np.ndarray:
-    """Network realization at a single input vector."""
+    """Network realization at a single input vector.
+
+    One row goes through BLAS's vector-matrix product, so the last bits can
+    differ from the same point's row in a batch ``evaluate``.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if x.shape != (params.architecture.input_width,):
         raise ValueError(f"input has length {x.shape[0]}, expected {params.architecture.input_width}")
@@ -254,17 +258,10 @@ def put_payoff_network(c: Sequence[float], D: float) -> Parametrization:
     )
 
 
-def _map_mn(m):
-    """Accept AffineMap-like objects or (M, N) pairs."""
-    if hasattr(m, "M") and hasattr(m, "N"):
-        return np.asarray(m.M, dtype=np.float64), np.asarray(m.N, dtype=np.float64)
-    M, N = m
-    return np.asarray(M, dtype=np.float64), np.asarray(N, dtype=np.float64)
-
-
-def compose_average(eta: Parametrization, maps) -> Parametrization:
+def compose_average(eta: Parametrization, M: np.ndarray, N: np.ndarray) -> Parametrization:
     """Single network computing (1/n) * sum_j realize(eta)(M_j x + N_j).
 
+    M is an (n, d, d) stack and N an (n, d) stack of the n affine maps.
     Block construction: the first layer stacks V_1 M_j rows, middle layers
     are block-diagonal copies of eta's layers, and the last layer averages
     the n branches with weight 1/n.  Resulting architecture is
@@ -273,25 +270,24 @@ def compose_average(eta: Parametrization, maps) -> Parametrization:
     array (see ``Parametrization``), so storage and evaluation cost
     O(n * P(b)) instead of the O(n^2 * P(b)) of the dense matrix.  For a
     single affine layer (L(b) = 1) the construction degenerates to the
-    exact averaged affine map.
+    exact averaged affine map, summed over the maps in order.
     """
-    maps = [_map_mn(m) for m in maps]
-    n = len(maps)
+    M = np.asarray(M, dtype=np.float64)
+    N = np.asarray(N, dtype=np.float64)
+    d = eta.architecture.input_width
+    if M.ndim != 3 or M.shape[1:] != (d, d) or N.shape != (len(M), d):
+        raise ValueError(f"affine map stacks {M.shape}, {N.shape} are not (n, {d}, {d}), (n, {d})")
+    n = len(M)
     if n == 0:
         raise ValueError("need at least one affine map")
-    d = eta.architecture.input_width
-    for M, N in maps:
-        if M.shape != (d, d) or N.shape != (d,):
-            raise ValueError(f"affine map shapes {M.shape}, {N.shape} do not match d={d}")
-    L = eta.architecture.depth
     V1, A1 = eta.layers[0]
-    if L == 1:
-        W = sum(V1 @ M for M, _ in maps) / n
-        B = sum(V1 @ N + A1 for _, N in maps) / n
-        return Parametrization(((W, B),))
-    W1 = np.vstack([V1 @ M for M, _ in maps])
-    B1 = np.concatenate([V1 @ N + A1 for _, N in maps])
-    layers = [(W1, B1)]
+    # Batched products round as the per-map V_1 M_j and V_1 N_j do; the
+    # single GEMM N @ V_1^T would not.
+    W1 = np.matmul(V1, M)  # (n, b_1, d)
+    B1 = np.matmul(V1, N[:, :, None])[:, :, 0] + A1  # (n, b_1)
+    if eta.architecture.depth == 1:
+        return Parametrization(((sum(W1) / n, sum(B1) / n),))
+    layers = [(W1.reshape(n * len(V1), d), B1.ravel())]
     for V_l, A_l in eta.layers[1:-1]:
         layers.append((np.tile(V_l, (n, 1, 1)), np.tile(A_l, n)))
     V_L, A_L = eta.layers[-1]

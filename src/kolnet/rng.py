@@ -17,6 +17,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
+_BELOW_ONE = 1.0 - _INV53  # largest double below 1
 
 
 def mix64(z):
@@ -59,7 +60,12 @@ def uniforms(keys, counters):
     c = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
         w = mix64(k ^ mix64((c + np.uint64(1)) * _GOLDEN))
-    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * _INV53
+    u = np.asarray(w >> np.uint64(11), dtype=np.float64)
+    u += 0.5
+    u *= _INV53
+    # The top word, 2**53 - 1, rounds up to 1.0: clamp it below 1.
+    np.minimum(u, _BELOW_ONE, out=u)
+    return u if u.ndim else u[()]
 
 
 def gaussians(keys, counters):

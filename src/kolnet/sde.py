@@ -89,7 +89,7 @@ class AffineCoefficients:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "C", C)
         if self.linear_growth_L <= 0:
-            object.__setattr__(self, "linear_growth_L", self._fit_growth_constant())
+            object.__setattr__(self, "linear_growth_L", self._growth_constant())
 
     @property
     def dim(self) -> int:
@@ -106,18 +106,18 @@ class AffineCoefficients:
             S += x[i] * self.C[i + 1]
         return S
 
-    def _fit_growth_constant(self, samples: int = 1000, radius: float = 10.0) -> float:
-        keys = rng.stream_key(0xC0EF)
-        X = (rng.uniforms(keys, np.arange(samples * self.dim)) * 2 - 1).reshape(
-            samples, self.dim
-        ) * radius
-        worst = 0.0
-        for x in X:
-            val = np.linalg.norm(self.diffusion(x)) + np.linalg.norm(
-                self.A @ x + self.b
-            )
-            worst = max(worst, val / (1.0 + np.linalg.norm(x)))
-        return 1.001 * worst if worst > 0 else 1.0
+    def _growth_constant(self) -> float:
+        """L with ||sigma(x)||_F + ||mu(x)|| <= L (1 + ||x||) for every x.
+
+        ||C_0 + sum_i x_i C_i||_F <= ||C_0||_F + ||K||_2 ||x|| for
+        K = [vec C_1 ... vec C_d], and ||A x + b|| <= ||A||_2 ||x|| + ||b||.
+        """
+        K = np.stack([Ci.ravel() for Ci in self.C[1:]], axis=1)
+        L = max(
+            np.linalg.norm(self.C[0]) + np.linalg.norm(self.b),
+            np.linalg.norm(K, 2) + np.linalg.norm(self.A, 2),
+        )
+        return float(L) if L > 0 else 1.0
 
     def satisfies_growth_bound(self, points: np.ndarray) -> bool:
         L = self.linear_growth_L

@@ -42,7 +42,6 @@ from kolnet.nets import (
 )
 from kolnet.sde import (
     AffineCoefficients,
-    AffineMap,
     BrownianDriver,
     KolmogorovProblem,
     extract_affine_representation,
@@ -167,13 +166,10 @@ def test_exact_constructions():
     # averaged composition with affine maps
     d, n = 2, 8
     eta = put_payoff_network(rs.uniform(0.1, 1.0, size=d), 2.0)
-    maps = [
-        AffineMap(rs.uniform(-1, 1, size=(d, d)), rs.uniform(-1, 1, size=d))
-        for _ in range(n)
-    ]
-    avg = compose_average(eta, maps)
+    maps = [(rs.uniform(-1, 1, size=(d, d)), rs.uniform(-1, 1, size=d)) for _ in range(n)]
+    avg = compose_average(eta, np.array([M for M, _ in maps]), np.array([N for _, N in maps]))
     x = rs.uniform(-2, 2, size=(10_000, d))
-    want = np.mean([evaluate(eta, x @ m.M.T + m.N)[:, 0] for m in maps], axis=0)
+    want = np.mean([evaluate(eta, x @ M.T + N)[:, 0] for M, N in maps], axis=0)
     worst = max(worst, np.abs(evaluate(avg, x)[:, 0] - want).max())
 
     dt = time.perf_counter() - t0

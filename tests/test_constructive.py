@@ -20,7 +20,6 @@ from kolnet.nets import (
 )
 from kolnet.sde import (
     AffineCoefficients,
-    AffineMap,
     KolmogorovProblem,
     gbm_coefficients,
 )
@@ -54,6 +53,12 @@ def random_eta(d, seed):
     W2 = rs.uniform(-1, 1, size=(1, 4))
     B2 = rs.uniform(-1, 1, size=1)
     return Parametrization(((W1, B1), (W2, B2)))
+
+
+def random_maps(rs, n, d):
+    """(n, d, d) and (n, d) stacks of n maps, each drawn as M_j then N_j."""
+    pairs = [(rs.randn(d, d), rs.randn(d)) for _ in range(n)]
+    return np.array([M for M, _ in pairs]), np.array([N for _, N in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +161,10 @@ def test_build_realization_identity_random_instances():
         seed = int(rs.randint(0, 10**6))
         map_seeds = rng.child_seeds(rng.child_seed(seed, 1), np.arange(n))
         Ms, Ns = extract_affine_batch(prob, map_seeds)
-        maps = [AffineMap(Ms[j], Ns[j]) for j in range(n)]
-        theta = compose_average(prob.payoff, maps)
+        theta = compose_average(prob.payoff, Ms, Ns)
         X = rs.uniform(0.5, 1.5, size=(200, 1))
         want = np.mean(
-            [evaluate(prob.payoff, X @ m.M.T + m.N) for m in maps], axis=0
+            [evaluate(prob.payoff, X @ M.T + N) for M, N in zip(Ms, Ns)], axis=0
         )
         assert np.abs(evaluate(theta, X) - want).max() <= 1e-9
 
@@ -171,9 +175,9 @@ def test_build_realization_identity_random_instances():
 
 def test_verify_bounds_identity_map():
     eta = random_eta(2, seed=9)
-    maps = [AffineMap(np.eye(2), np.zeros(2))]
-    built = compose_average(eta, maps)
-    rep = verify_construction_bounds(built, eta, maps)
+    maps = np.eye(2)[None], np.zeros((1, 2))
+    built = compose_average(eta, *maps)
+    rep = verify_construction_bounds(built, eta, *maps)
     assert rep.all_ok
     assert rep.param_count <= rep.param_cap
     assert rep.theta_norm <= rep.theta_cap
@@ -182,9 +186,9 @@ def test_verify_bounds_identity_map():
 def test_verify_bounds_random_instance():
     rs = np.random.RandomState(10)
     eta = random_eta(3, seed=11)
-    maps = [AffineMap(rs.randn(3, 3), rs.randn(3)) for _ in range(8)]
-    built = compose_average(eta, maps)
-    rep = verify_construction_bounds(built, eta, maps)
+    maps = random_maps(rs, 8, 3)
+    built = compose_average(eta, *maps)
+    rep = verify_construction_bounds(built, eta, *maps)
     assert rep.param_ok and rep.theta_ok and rep.depth_ok and rep.width_ok
     assert rep.all_ok
 
@@ -192,17 +196,31 @@ def test_verify_bounds_random_instance():
 def test_verify_bounds_detects_perturbation():
     rs = np.random.RandomState(12)
     eta = random_eta(2, seed=13)
-    maps = [AffineMap(rs.randn(2, 2), rs.randn(2)) for _ in range(4)]
-    built = compose_average(eta, maps)
-    rep = verify_construction_bounds(built, eta, maps)
+    maps = random_maps(rs, 4, 2)
+    built = compose_average(eta, *maps)
+    rep = verify_construction_bounds(built, eta, *maps)
     assert rep.theta_ok
     # Push one weight above the max-norm cap: the verdict must flip.
     layers = [(W.copy(), B.copy()) for W, B in built.layers]
     layers[0][0][0, 0] = rep.theta_cap + 1.0
     tampered = Parametrization(tuple(layers))
-    rep2 = verify_construction_bounds(tampered, eta, maps)
+    rep2 = verify_construction_bounds(tampered, eta, *maps)
     assert not rep2.theta_ok
     assert not rep2.all_ok
+
+
+def test_verify_bounds_theta_cap_matches_per_map_norms():
+    rs = np.random.RandomState(14)
+    for d, n in [(1, 1), (2, 7), (5, 300)]:
+        eta = random_eta(d, seed=15 + d)
+        Ms, Ns = random_maps(rs, n, d)
+        Ms *= rs.uniform(0.01, 100.0, size=(n, 1, 1))
+        rep = verify_construction_bounds(compose_average(eta, Ms, Ns), eta, Ms, Ns)
+        max_map = max(
+            float(np.linalg.norm(M)) + float(np.linalg.norm(N)) + 1.0 for M, N in zip(Ms, Ns)
+        )
+        want = float(np.sqrt(d)) * eta.max_norm() * max_map
+        assert rep.theta_cap == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_build_spec_validation():

@@ -1,5 +1,7 @@
 """Tests for the network data model and the explicit constructions."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,9 @@ from kolnet.nets import (
     realize,
     save_network,
 )
-from kolnet.sde import AffineMap
+from kolnet.sde import extract_affine_batch, load_problem
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def naive_forward(layers, x):
@@ -47,6 +51,12 @@ def random_params(widths, seed, scale=1.0):
         B = rs.uniform(-scale, scale, size=fan_out)
         layers.append((W, B))
     return Parametrization(tuple(layers))
+
+
+def random_maps(rs, n, d):
+    """(n, d, d) and (n, d) stacks of n maps, each drawn as M_j then N_j."""
+    pairs = [(rs.randn(d, d), rs.randn(d)) for _ in range(n)]
+    return np.array([M for M, _ in pairs]), np.array([N for _, N in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +311,7 @@ def test_clipped_network_callable():
 
 def test_compose_average_identity_single_map():
     eta = random_params((3, 5, 1), seed=15)
-    maps = [AffineMap(np.eye(3), np.zeros(3))]
-    theta = compose_average(eta, maps)
+    theta = compose_average(eta, np.eye(3)[None], np.zeros((1, 3)))
     X = np.random.RandomState(16).uniform(-1, 1, size=(50, 3))
     assert np.max(np.abs(evaluate(theta, X) - evaluate(eta, X))) <= 1e-12
 
@@ -311,8 +320,7 @@ def test_compose_average_param_count_small_case():
     # b = (1,1,1), n = 2: the block construction yields arch (1,2,1), P = 7.
     eta = random_params((1, 1, 1), seed=17)
     rs = np.random.RandomState(18)
-    maps = [AffineMap(rs.randn(1, 1), rs.randn(1)) for _ in range(2)]
-    theta = compose_average(eta, maps)
+    theta = compose_average(eta, *random_maps(rs, 2, 1))
     assert theta.architecture.widths == (1, 2, 1)
     assert theta.architecture.param_count == 7
     assert theta.architecture.param_count <= 4 * eta.architecture.param_count
@@ -321,13 +329,13 @@ def test_compose_average_param_count_small_case():
 def test_compose_average_matches_direct_average():
     eta = random_params((2, 3, 1), seed=19)
     rs = np.random.RandomState(20)
-    maps = [AffineMap(rs.randn(2, 2), rs.randn(2)) for _ in range(4)]
-    theta = compose_average(eta, maps)
+    Ms, Ns = random_maps(rs, 4, 2)
+    theta = compose_average(eta, Ms, Ns)
     X = rs.uniform(-2, 2, size=(200, 2))
     want = np.zeros((200, 1))
-    for m in maps:
-        want += evaluate(eta, X @ m.M.T + m.N)
-    want /= len(maps)
+    for M, N in zip(Ms, Ns):
+        want += evaluate(eta, X @ M.T + N)
+    want /= len(Ms)
     assert np.max(np.abs(evaluate(theta, X) - want)) <= 1e-10
 
 
@@ -335,8 +343,7 @@ def test_compose_average_depth_and_width():
     eta = random_params((2, 4, 3, 1), seed=21)
     rs = np.random.RandomState(22)
     n = 5
-    maps = [AffineMap(rs.randn(2, 2), rs.randn(2)) for _ in range(n)]
-    theta = compose_average(eta, maps)
+    theta = compose_average(eta, *random_maps(rs, n, 2))
     a = theta.architecture
     b = eta.architecture
     assert a.depth == b.depth
@@ -351,14 +358,14 @@ def test_compose_average_theta_norm_cap():
         d = rs.randint(1, 4)
         eta = random_params((d, rs.randint(2, 5), 1), seed=100 + trial)
         n = rs.randint(1, 6)
-        maps = [AffineMap(rs.randn(d, d), rs.randn(d)) for _ in range(n)]
-        theta = compose_average(eta, maps)
+        Ms, Ns = random_maps(rs, n, d)
+        theta = compose_average(eta, Ms, Ns)
         cap = (
             np.sqrt(d)
             * eta.max_norm()
             * max(
-                np.linalg.norm(m.M, "fro") + np.linalg.norm(m.N) + 1.0
-                for m in maps
+                np.linalg.norm(M, "fro") + np.linalg.norm(N) + 1.0
+                for M, N in zip(Ms, Ns)
             )
         )
         assert theta.max_norm() <= cap + 1e-12
@@ -369,22 +376,65 @@ def test_compose_average_single_affine_layer_degenerate():
     # is itself a single affine layer.
     eta = random_params((2, 1), seed=24)
     rs = np.random.RandomState(25)
-    maps = [AffineMap(rs.randn(2, 2), rs.randn(2)) for _ in range(3)]
-    theta = compose_average(eta, maps)
+    Ms, Ns = random_maps(rs, 3, 2)
+    theta = compose_average(eta, Ms, Ns)
     assert theta.architecture.depth == 1
     X = rs.uniform(-1, 1, size=(100, 2))
     want = np.mean(
-        [evaluate(eta, X @ m.M.T + m.N) for m in maps], axis=0
+        [evaluate(eta, X @ M.T + N) for M, N in zip(Ms, Ns)], axis=0
     )
     assert np.max(np.abs(evaluate(theta, X) - want)) <= 1e-12
 
 
 def test_compose_average_rejects_empty_and_mismatched():
     eta = random_params((2, 3, 1), seed=26)
-    with pytest.raises(ValueError):
-        compose_average(eta, [])
-    with pytest.raises(ValueError):
-        compose_average(eta, [AffineMap(np.eye(3), np.zeros(3))])
+    bad = [
+        ([], []),
+        (np.zeros((0, 2, 2)), np.zeros((0, 2))),  # n = 0
+        (np.eye(3)[None], np.zeros((1, 3))),  # d does not match eta
+        (np.eye(2), np.zeros((1, 2))),  # M not a stack
+        (np.zeros((2, 2, 3)), np.zeros((2, 2))),  # M not (n, d, d)
+        (np.zeros((2, 2, 2)), np.zeros((3, 2))),  # N holds another n
+        (np.zeros((2, 2, 2)), np.zeros(2)),  # N not a stack
+    ]
+    for M, N in bad:
+        with pytest.raises(ValueError):
+            compose_average(eta, M, N)
+
+
+def per_map_composition(eta, Ms, Ns):
+    """compose_average's layers assembled one affine map at a time."""
+    n = len(Ms)
+    V1, A1 = eta.layers[0]
+    firsts = [(V1 @ M, V1 @ N + A1) for M, N in zip(Ms, Ns)]
+    if eta.architecture.depth == 1:
+        W, B = 0, 0
+        for V1M, V1N in firsts:
+            W, B = W + V1M, B + V1N
+        return [(W / n, B / n)]
+    layers = [(np.vstack([W for W, _ in firsts]), np.concatenate([B for _, B in firsts]))]
+    for V, A in eta.layers[1:-1]:
+        layers.append((np.array([V] * n), np.concatenate([A] * n)))
+    V_L, A_L = eta.layers[-1]
+    layers.append((np.hstack([V_L / n] * n), A_L))
+    return layers
+
+
+@pytest.mark.parametrize("case", ["shipped_put_n2048", "random_3_4_5_3_1", "depth_1"])
+def test_compose_average_equals_per_map_construction(case):
+    rs = np.random.RandomState(38)
+    if case == "shipped_put_n2048":
+        prob = load_problem(PROBLEMS / "basket_put_d5.txt")
+        eta, (Ms, Ns) = prob.payoff, extract_affine_batch(prob, np.arange(2048))
+    elif case == "random_3_4_5_3_1":
+        eta, (Ms, Ns) = random_params((3, 4, 5, 3, 1), seed=39), random_maps(rs, 16, 3)
+    else:
+        eta, (Ms, Ns) = random_params((3, 2), seed=40), random_maps(rs, 50, 3)
+    theta = compose_average(eta, Ms, Ns)
+    want = per_map_composition(eta, Ms, Ns)
+    assert len(theta.layers) == len(want)
+    for (W, B), (Wp, Bp) in zip(theta.layers, want):
+        assert np.array_equal(W, Wp) and np.array_equal(B, Bp)
 
 
 @settings(max_examples=25, deadline=None)
@@ -397,8 +447,8 @@ def test_compose_average_rejects_empty_and_mismatched():
 def test_compose_average_bounds_property(d, hidden, n, seed):
     rs = np.random.RandomState(seed)
     eta = random_params((d, hidden, hidden, 1), seed=seed)
-    maps = [AffineMap(rs.randn(d, d), rs.randn(d)) for _ in range(n)]
-    theta = compose_average(eta, maps)
+    Ms, Ns = random_maps(rs, n, d)
+    theta = compose_average(eta, Ms, Ns)
     a, b = theta.architecture, eta.architecture
     assert a.param_count <= n * n * b.param_count
     assert a.depth == b.depth
@@ -410,7 +460,7 @@ def test_compose_average_bounds_property(d, hidden, n, seed):
     cap = (
         np.sqrt(d)
         * eta.max_norm()
-        * max(np.linalg.norm(m.M, "fro") + np.linalg.norm(m.N) + 1.0 for m in maps)
+        * max(np.linalg.norm(M, "fro") + np.linalg.norm(N) + 1.0 for M, N in zip(Ms, Ns))
     )
     assert theta.max_norm() <= cap + 1e-12
 
@@ -466,8 +516,7 @@ def oracle_text(params):
 def test_save_composed_network_matches_dense_oracle(tmp_path):
     rs = np.random.RandomState(29)
     eta = put_payoff_network(rs.uniform(0.1, 1.0, size=2), 1.0)
-    maps = [AffineMap(rs.randn(2, 2), rs.randn(2)) for _ in range(8)]
-    theta = compose_average(eta, maps)
+    theta = compose_average(eta, *random_maps(rs, 8, 2))
     assert [W.ndim for W, _ in theta.layers] == [2, 3, 2]
     path = tmp_path / "net.txt"
     save_network(theta, path)
@@ -500,14 +549,14 @@ def test_block_layers_evaluate_like_dense_expansion():
     X = rs.uniform(-2, 2, size=(500, 3))
     # 1x1 blocks (every shipped payoff): products over exact zeros change nothing.
     eta = put_payoff_network(rs.uniform(0.1, 1.0, size=3), 1.5)
-    maps = [AffineMap(rs.randn(3, 3), rs.randn(3)) for _ in range(16)]
-    theta = compose_average(eta, maps)
+    maps = random_maps(rs, 16, 3)
+    theta = compose_average(eta, *maps)
     dense = Parametrization(tuple(dense_layers(theta)))
     assert dense.architecture == theta.architecture
     assert np.array_equal(evaluate(theta, X), evaluate(dense, X))
     # Larger blocks sum in another order: equal to rounding.
     eta = random_params((3, 4, 5, 3, 2), seed=31)
-    theta = compose_average(eta, maps)
+    theta = compose_average(eta, *maps)
     assert [W.shape for W, _ in theta.layers[1:-1]] == [(16, 5, 4), (16, 3, 5)]
     dense = Parametrization(tuple(dense_layers(theta)))
     got, want = evaluate(theta, X), evaluate(dense, X)
@@ -532,10 +581,10 @@ def unchunked_forward(params, X):
 
 def chunked_cases():
     rs = np.random.RandomState(34)
-    maps = [AffineMap(rs.randn(3, 3), rs.randn(3)) for _ in range(16)]
+    maps = random_maps(rs, 16, 3)
     return {
         "dense": random_params((3, 40, 70, 2), seed=35),
-        "block": compose_average(random_params((3, 4, 5, 3, 1), seed=36), maps),
+        "block": compose_average(random_params((3, 4, 5, 3, 1), seed=36), *maps),
     }
 
 
@@ -571,7 +620,7 @@ def test_compose_average_huge_n_stays_linear():
     rs = np.random.RandomState(32)
     c = np.array([0.4, 0.6])
     Ms, Ns = 1.0 + 0.1 * rs.randn(n, d, d), 0.1 * rs.randn(n, d)
-    theta = compose_average(put_payoff_network(c, D), list(zip(Ms, Ns)))
+    theta = compose_average(put_payoff_network(c, D), Ms, Ns)
     assert theta.architecture.widths == (d, n, n, 1)
     assert sum(W.size + B.size for W, B in theta.layers) == n * (d + 1) + 2 * n + n + 1
     X = rs.uniform(0.5, 1.5, size=(64, d))

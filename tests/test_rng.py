@@ -101,3 +101,37 @@ def test_bit_identical_across_invocations():
     u = rng.uniforms(key, np.arange(3))
     again = rng.uniforms(rng.stream_key(0), np.arange(3))
     assert np.array_equal(u, again)
+
+
+def inv_mix64(z: int) -> int:
+    """Inverse of the SplitMix64 finalizer, on Python ints."""
+    mask = 2**64 - 1
+
+    def unxorshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unxorshift(z, 31)
+    z = (z * pow(int(rng._MIX2), -1, 2**64)) & mask
+    z = unxorshift(z, 27)
+    z = (z * pow(int(rng._MIX1), -1, 2**64)) & mask
+    return unxorshift(z, 30)
+
+
+def test_top_word_stays_below_one():
+    # Solve for keys whose word at counter 0 is given.  Words whose 53 high
+    # bits are all ones, plus one half, round up to 2**53 unless clamped.
+    def key_for(word):
+        assert int(rng.mix64(np.uint64(inv_mix64(word)))) == word
+        return np.uint64(inv_mix64(word) ^ int(rng.mix64(rng._GOLDEN)))
+
+    for word in (2**64 - 1, 2**64 - 2**11):
+        u = rng.uniforms(key_for(word), np.arange(3))
+        assert u[0] == np.nextafter(1.0, 0.0)
+        assert np.all((u > 0.0) & (u < 1.0))
+        assert rng.uniforms(key_for(word), np.uint64(0)) == u[0]
+        assert np.all(np.isfinite(rng.gaussians(key_for(word), np.arange(3))))
+    # The next word down keeps its bits: only the top one is clamped.
+    assert rng.uniforms(key_for(2**64 - 2**12), np.uint64(0)) == (2.0**53 - 2 + 0.5) * 2.0**-53

@@ -79,6 +79,27 @@ def test_affine_coefficients_growth_bound_autofit():
     assert coeffs.satisfies_growth_bound(pts)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_growth_constant_bounds_far_field_points(seed):
+    # Along the top right singular vectors of K = [vec C_1 ... vec C_d] and of
+    # A, far out, the growth ratio is near its supremum: a sampled constant
+    # falls short there, the closed form does not.
+    g = np.random.default_rng(seed)
+    d = 20
+    A, b = g.normal(0.0, 0.1, (d, d)), g.normal(0.0, 0.1, d)
+    C = tuple(g.normal(0.0, 0.1, (d, d)) for _ in range(d + 1))
+    coeffs = AffineCoefficients(A, b, C)
+    K = np.stack([Ci.ravel() for Ci in C[1:]], axis=1)
+    tops = [np.linalg.svd(K)[2][0], np.linalg.svd(A)[2][0]]
+    pts = np.array([sign * 1e6 * v for v in tops for sign in (1.0, -1.0)])
+    assert coeffs.satisfies_growth_bound(pts)
+
+
+def test_gbm_growth_constant_closed_form():
+    # sigma + mu: ||K||_2 = 0.2 and ||A||_2 = 0.05, with C_0 = 0 and b = 0.
+    assert gbm_coefficients(5, 0.05, 0.2).linear_growth_L == pytest.approx(0.25)
+
+
 def test_gbm_coefficients_shape_and_flag():
     coeffs = gbm_coefficients(2, 0.05, 0.2)
     assert coeffs.is_diagonal_gbm()
