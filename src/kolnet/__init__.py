@@ -21,15 +21,13 @@ from .nets import (
 )
 from .sde import (
     AffineCoefficients,
-    AffineMap,
-    BrownianDriver,
     KolmogorovProblem,
-    extract_affine_representation,
+    extract_affine_batch,
     gbm_coefficients,
     load_problem,
     mc_feynman_kac,
     mc_reference_grid,
-    simulate_terminal,
+    terminal_values,
 )
 from .learning import (
     Dataset,

@@ -125,7 +125,8 @@ def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
     Each retry draws n independent terminal affine maps with substream
     drivers, composes them with the payoff network, and estimates the L2
     error on a shared seeded Monte-Carlo reference grid; the best retry
-    wins.  Construction size caps are hard-checked on the winner.
+    wins.  Construction size caps are hard-checked on the winner; a
+    violated cap raises RuntimeError.
     """
     if spec.payoff.architecture.input_width != problem.dim:
         raise ValueError("payoff input width does not match problem dimension")
@@ -156,9 +157,9 @@ def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
             best_maps = M, N
     bounds = verify_construction_bounds(best, spec.payoff, *best_maps)
     if not (bounds.param_ok and bounds.theta_ok and bounds.depth_ok):
-        raise AssertionError(f"construction bounds violated: {bounds}")
+        raise RuntimeError(f"construction bounds violated: {bounds}")
     if bounds.max_width > bounds.width_expected:
-        raise AssertionError(f"width exceeds construction value: {bounds}")
+        raise RuntimeError(f"width exceeds construction value: {bounds}")
     report = BuildReport(
         retry_errors=errors,
         chosen_retry=int(np.argmin(errors)),

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import struct
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
 from .nets import Architecture, ClippedNetwork, Parametrization
-from .sde import KolmogorovProblem, _terminal_batch
+from .sde import KolmogorovProblem, terminal_values
 
 __all__ = [
     "Dataset",
@@ -25,19 +23,12 @@ __all__ = [
     "bias_variance_report",
 ]
 
-_MAGIC = b"KOLD"
-_HEADER = struct.Struct("<IIQdddQ")  # version, d, m, u, v, D, seed
-_VERSION = 1
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Training pairs (X_i, Y_i) with X_i uniform on [u,v]^d, Y_i in [-D, D]."""
 
     inputs: np.ndarray  # (m, d)
     labels: np.ndarray  # (m,)
-    problem_hash: str
-    seed: int
 
     def __post_init__(self):
         X = np.asarray(self.inputs, dtype=np.float64)
@@ -57,46 +48,6 @@ class Dataset:
     def d(self) -> int:
         return self.inputs.shape[1]
 
-    def save(self, path, u: float, v: float, D: float) -> None:
-        header = _MAGIC + _HEADER.pack(
-            _VERSION, self.d, self.m, u, v, D, self.seed & 0xFFFFFFFFFFFFFFFF
-        )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(bytes(self.problem_hash[:16].ljust(16), "ascii"))
-            fh.write(np.ascontiguousarray(self.inputs).tobytes())
-            fh.write(np.ascontiguousarray(self.labels).tobytes())
-
-    @staticmethod
-    def load(path) -> "Dataset":
-        """Read a file written by ``save``.
-
-        A file that is not a dataset, is cut short or has bytes after the
-        labels raises ValueError naming the file.
-        """
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        if raw[: len(_MAGIC)] != _MAGIC:
-            raise ValueError(f"{path}: not a dataset file")
-        body = len(_MAGIC) + _HEADER.size + 16
-        if len(raw) < body:
-            raise ValueError(f"{path}: file ends inside the {body}-byte header")
-        version, d, m, u, v, D, seed = _HEADER.unpack_from(raw, len(_MAGIC))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        size = body + 8 * m * (d + 1)
-        if len(raw) != size:
-            raise ValueError(f"{path}: file has {len(raw)} bytes, expected {size} for m={m}, d={d}")
-        problem_hash = raw[body - 16:body].decode("ascii").strip()
-        X = np.frombuffer(raw, np.float64, m * d, body).reshape(m, d)
-        Y = np.frombuffer(raw, np.float64, m, body + 8 * m * d)
-        return Dataset(X, Y, problem_hash, seed)
-
-    def to_csv(self, path) -> None:
-        header = ",".join(f"x_{i + 1}" for i in range(self.d)) + ",y"
-        data = np.column_stack([self.inputs, self.labels])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
-
 
 def generate_dataset(problem: KolmogorovProblem, m: int, seed: int) -> Dataset:
     """i.i.d. pairs: X uniform on the hypercube, Y the clipped payoff at S_T^X."""
@@ -108,9 +59,8 @@ def generate_dataset(problem: KolmogorovProblem, m: int, seed: int) -> Dataset:
     X = problem.u + (problem.v - problem.u) * U
     path_seeds = rng.child_seeds(rng.child_seeds(seed, 1), np.arange(m))
     keys = rng.stream_key(path_seeds)
-    S = _terminal_batch(problem, X, keys)
-    Y = problem.clipped_payoff(S)
-    return Dataset(X, Y, problem.content_hash(), seed)
+    Y = problem.clipped_payoff(terminal_values(problem, X, keys))
+    return Dataset(X, Y)
 
 
 def empirical_risk(f: ClippedNetwork, data: Dataset) -> float:
@@ -145,7 +95,6 @@ class TrainConfig:
 class FitReport:
     final_risk: float
     trace: list  # (iteration, batch_risk, full_risk)
-    wall_clock: float
     trained: Parametrization
     clip_amplitude: float
 
@@ -238,7 +187,6 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
     if arch.input_width != data.d:
         raise ValueError("architecture input width does not match dataset")
     D = config.clip_amplitude
-    start = time.perf_counter()
     gen = np.random.default_rng(np.random.PCG64(config.seed))
     theta = _init_params(arch, gen, config.constant_only)
     grad = np.empty_like(theta)
@@ -291,7 +239,6 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
     return FitReport(
         final_risk=final,
         trace=trace,
-        wall_clock=time.perf_counter() - start,
         trained=trained,
         clip_amplitude=D,
     )

@@ -335,7 +335,8 @@ def load_network(path) -> Parametrization:
     """Read a network written by save_network.
 
     A file that is cut short, has a row with the wrong number of entries or
-    a token that is not a number raises ValueError naming the file and line.
+    a token that is not a finite number raises ValueError naming the file
+    and line.
     """
     with open(path) as fh:
         lines = iter([(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()])
@@ -357,9 +358,12 @@ def load_network(path) -> Parametrization:
         if len(tokens) != length:
             raise ValueError(f"{path}:{no}: {what} has {len(tokens)} entries, expected {length}")
         try:
-            return [float(x) for x in tokens]
+            vals = [float(x) for x in tokens]
         except ValueError:
             raise ValueError(f"{path}:{no}: {what} holds a token that is not a number") from None
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{path}:{no}: {what} holds a value that is not finite")
+        return vals
 
     no, text = next_line("the 'arch:' header")
     try:

@@ -55,6 +55,10 @@ def uniforms(keys, counters):
 
     ``keys`` and ``counters`` broadcast against each other.  The output is
     strictly inside (0, 1) so the Gaussian inverse CDF is always finite.
+    A 53-bit word k maps to (k + 0.5) 2**-53; for k >= 2**52 that midpoint
+    is not a double and rounds half to even, so the upper half of (0, 1)
+    holds half as many distinct values as the lower half.  The seeded
+    artifacts pin these bits.
     """
     k = np.asarray(keys, dtype=np.uint64)
     c = np.asarray(counters, dtype=np.uint64)

@@ -4,28 +4,25 @@ Drift mu(x) = A x + b and matrix diffusion sigma(x) = C_0 + sum_i x_i C_i
 are affine in the state, which makes every Euler step (and the exact
 geometric-Brownian terminal map) affine in the initial value.  The terminal
 value therefore has a pathwise representation S_T^x = M x + N that
-``extract_affine_representation`` recovers by coupling d+1 simulations on
-the same Brownian driver.
+``extract_affine_batch`` recovers by coupling d+1 paths on the same stream.
+``terminal_values`` is the one sampling kernel every caller goes through.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import rng
-from .nets import ClippedNetwork, Parametrization, put_payoff_network
+from .nets import ClippedNetwork, Parametrization, load_network, put_payoff_network
 
 __all__ = [
     "AffineCoefficients",
     "KolmogorovProblem",
-    "AffineMap",
-    "BrownianDriver",
     "gbm_coefficients",
-    "simulate_terminal",
-    "extract_affine_representation",
+    "terminal_values",
     "extract_affine_batch",
     "mc_feynman_kac",
     "mc_reference_grid",
@@ -39,6 +36,10 @@ __all__ = [
 # result; 4096 sat at the flat bottom of a timing sweep over 512-16384 paths.
 _EULER_CHUNK = 4096
 
+# Largest dimension a problem file may declare: a 'gbm' line expands into
+# d+1 dense d x d diffusion matrices, (d+1) d^2 floats (135 MB at d = 256).
+_MAX_FILE_DIM = 256
+
 
 class SimulationError(RuntimeError):
     """Non-finite state encountered during path simulation."""
@@ -49,32 +50,12 @@ class SimulationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AffineMap:
-    """x -> M x + N."""
-
-    M: np.ndarray
-    N: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.M, dtype=np.float64)
-        N = np.asarray(self.N, dtype=np.float64)
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or N.shape != (M.shape[0],):
-            raise ValueError(f"bad affine map shapes {M.shape}, {N.shape}")
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "N", N)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.M @ np.asarray(x, dtype=np.float64) + self.N
-
-
-@dataclass(frozen=True)
 class AffineCoefficients:
     """Affine drift (A, b) and affine matrix diffusion (C_0, C_1..C_d)."""
 
     A: np.ndarray
     b: np.ndarray
     C: tuple  # (C_0, C_1, ..., C_d), each d x d
-    linear_growth_L: float = 0.0
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.float64)
@@ -88,25 +69,13 @@ class AffineCoefficients:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "C", C)
-        if self.linear_growth_L <= 0:
-            object.__setattr__(self, "linear_growth_L", self._growth_constant())
 
     @property
     def dim(self) -> int:
         return self.A.shape[0]
 
-    def drift(self, X: np.ndarray) -> np.ndarray:
-        """mu at a batch of states, shape (n, d)."""
-        return X @ self.A.T + self.b
-
-    def diffusion(self, x: np.ndarray) -> np.ndarray:
-        """sigma at a single state."""
-        S = self.C[0].copy()
-        for i in range(self.dim):
-            S += x[i] * self.C[i + 1]
-        return S
-
-    def _growth_constant(self) -> float:
+    @property
+    def linear_growth_L(self) -> float:
         """L with ||sigma(x)||_F + ||mu(x)|| <= L (1 + ||x||) for every x.
 
         ||C_0 + sum_i x_i C_i||_F <= ||C_0||_F + ||K||_2 ||x|| for
@@ -119,61 +88,23 @@ class AffineCoefficients:
         )
         return float(L) if L > 0 else 1.0
 
-    def satisfies_growth_bound(self, points: np.ndarray) -> bool:
-        L = self.linear_growth_L
-        return all(
-            np.linalg.norm(self.diffusion(x)) + np.linalg.norm(self.A @ x + self.b)
-            <= L * (1.0 + np.linalg.norm(x)) + 1e-12
-            for x in points
-        )
-
     def is_diagonal_gbm(self) -> bool:
-        """True when the dynamics are exactly simulable geometric Brownian motion."""
-        d = self.dim
-        if np.any(self.b != 0) or np.any(self.C[0] != 0):
-            return False
-        if np.any(self.A != np.diag(np.diag(self.A))):
-            return False
-        for i, Ci in enumerate(self.C[1:]):
-            expected = np.zeros((d, d))
-            expected[i, i] = Ci[i, i]
-            if np.any(Ci != expected):
-                return False
-        return True
+        """True when the dynamics are exactly simulable geometric Brownian motion:
+        the coefficients equal the gbm_coefficients of their own diagonals."""
+        i = np.arange(self.dim)
+        gbm = gbm_coefficients(self.dim, self.A[i, i], np.array(self.C[1:])[i, i, i])
+        pairs = zip((self.A, self.b, *self.C), (gbm.A, gbm.b, *gbm.C))
+        return all(np.array_equal(x, y) for x, y in pairs)
 
 
 def gbm_coefficients(d: int, mu_rate, sigma_rate) -> AffineCoefficients:
     """Diagonal geometric Brownian motion: dS_i = mu_i S_i dt + s_i S_i dB_i."""
     mu = np.broadcast_to(np.asarray(mu_rate, dtype=np.float64), (d,)).copy()
-    sig = np.broadcast_to(np.asarray(sigma_rate, dtype=np.float64), (d,)).copy()
-    C = [np.zeros((d, d))]
-    for i in range(d):
-        Ci = np.zeros((d, d))
-        Ci[i, i] = sig[i]
-        C.append(Ci)
+    sig = np.broadcast_to(np.asarray(sigma_rate, dtype=np.float64), (d,))
+    C = np.zeros((d + 1, d, d))
+    i = np.arange(d)
+    C[i + 1, i, i] = sig
     return AffineCoefficients(np.diag(mu), np.zeros(d), tuple(C))
-
-
-@dataclass(frozen=True)
-class BrownianDriver:
-    """Seeded source of Brownian increments; same seed, same bits."""
-
-    seed: int
-    steps: int
-    d: int
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-
-    @property
-    def key(self) -> np.uint64:
-        return rng.stream_key(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF))
-
-    def normals(self) -> np.ndarray:
-        """All standard normals of the stream, shape (steps, d)."""
-        z = rng.gaussians(self.key, np.arange(self.steps * self.d))
-        return z.reshape(self.steps, self.d)
 
 
 @dataclass(frozen=True)
@@ -211,34 +142,25 @@ class KolmogorovProblem:
     def clipped_payoff(self) -> ClippedNetwork:
         return ClippedNetwork(self.payoff, self.clip_amplitude)
 
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for arr in (self.coeffs.A, self.coeffs.b, *self.coeffs.C):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        for W, B in self.payoff.layers:
-            h.update(np.ascontiguousarray(W).tobytes())
-            h.update(np.ascontiguousarray(B).tobytes())
-        h.update(
-            np.array(
-                [self.horizon, self.clip_amplitude, self.u, self.v, self.steps],
-                dtype=np.float64,
-            ).tobytes()
-        )
-        return h.hexdigest()[:16]
-
 
 @np.errstate(over="ignore", invalid="ignore")
-def _terminal_batch(problem: KolmogorovProblem, X0: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Terminal values for a batch of paths; path i uses stream keys[i].
+def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
+    """Terminal values S_T for a batch of paths; path i starts at X0[i] on stream keys[i].
 
-    X0 is (n, d); keys is (n,) uint64.  Step k of path i draws its d normals
-    at counters (keys[i], k*d + j), the layout of BrownianDriver.normals, so a
-    single-path driver reproduces batch results.  Overflow raises no numpy
-    warning: the isfinite checks turn it into SimulationError.
+    X0 must be a finite (n, d) array and keys (n,) uint64.  Exact
+    log-normal draws for diagonal GBM, Euler-Maruyama with ``problem.steps``
+    steps otherwise.  Step k of path i draws its d normals at counters
+    (keys[i], k*d + j), so a path's value does not depend on the batch it
+    is in.  Overflow raises no numpy warning: the isfinite checks turn it
+    into SimulationError.
     """
     co = problem.coeffs
     d, T = problem.dim, problem.horizon
-    n = X0.shape[0]
+    keys = np.asarray(keys, dtype=np.uint64)
+    X0 = np.asarray(X0, dtype=np.float64)
+    n = len(keys)
+    if X0.shape != (n, d) or not np.all(np.isfinite(X0)):
+        raise ValueError(f"X0 must be a finite ({n}, {d}) array, got shape {X0.shape}")
     if problem.gbm_flag:
         mu = np.diag(co.A)
         sig = np.array([co.C[i + 1][i, i] for i in range(d)])
@@ -282,50 +204,19 @@ def _terminal_batch(problem: KolmogorovProblem, X0: np.ndarray, keys: np.ndarray
     return out
 
 
-def simulate_terminal(
-    problem: KolmogorovProblem, x0: np.ndarray, driver: BrownianDriver
-) -> np.ndarray:
-    """Terminal value S_T^{x0} under the given driver.
-
-    Exact log-normal draw for the diagonal GBM case, Euler-Maruyama with
-    ``driver.steps`` uniform steps otherwise.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    if x0.shape != (problem.dim,) or not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be a finite vector of length {problem.dim}")
-    prob = replace(problem, steps=driver.steps)
-    return _terminal_batch(prob, x0[None, :], np.atleast_1d(driver.key))[0]
-
-
-def extract_affine_representation(
-    problem: KolmogorovProblem, driver: BrownianDriver
-) -> AffineMap:
-    """Pathwise affine map with S_T^x = M x + N under this driver.
-
-    Couples d+1 simulations (from 0 and each basis vector) on identical
-    Brownian increments; N = S_T^0 and column i of M is S_T^{e_i} - S_T^0.
-    """
-    d = problem.dim
-    X0 = np.vstack([np.zeros(d), np.eye(d)])
-    prob = replace(problem, steps=driver.steps)
-    S = _terminal_batch(prob, X0, np.full(d + 1, driver.key, dtype=np.uint64))
-    N = S[0]
-    M = (S[1:] - N).T
-    return AffineMap(M, N)
-
-
 def extract_affine_batch(problem: KolmogorovProblem, seeds: np.ndarray):
-    """Affine maps for many independent drivers at once.
+    """Pathwise terminal affine maps, one per seed: S_T^x = M[j] x + N[j].
 
-    Returns (M, N) arrays of shapes (n, d, d) and (n, d); entry j equals
-    extract_affine_representation under BrownianDriver(seeds[j], ...).
+    Map j couples d+1 paths (from 0 and each basis vector) on the stream
+    stream_key(seeds[j]); N[j] = S_T^0 and column i of M[j] is
+    S_T^{e_i} - S_T^0.  Returns arrays of shapes (n, d, d) and (n, d).
     """
     d = problem.dim
     seeds = np.asarray(seeds, dtype=np.uint64)
     n = seeds.shape[0]
     keys = np.repeat(rng.stream_key(seeds), d + 1)
     X0 = np.tile(np.vstack([np.zeros(d), np.eye(d)]), (n, 1))
-    S = _terminal_batch(problem, X0, keys).reshape(n, d + 1, d)
+    S = terminal_values(problem, X0, keys).reshape(n, d + 1, d)
     N = S[:, 0, :]
     M = np.swapaxes(S[:, 1:, :] - N[:, None, :], 1, 2)
     return M, N
@@ -343,7 +234,7 @@ def mc_feynman_kac(problem: KolmogorovProblem, x, n_paths: int, seed: int):
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     path_seeds = rng.child_seeds(seed, np.arange(n_paths))
     keys = rng.stream_key(path_seeds)
-    S = _terminal_batch(problem, np.tile(x, (n_paths, 1)), keys)
+    S = terminal_values(problem, np.tile(x, (n_paths, 1)), keys)
     Y = problem.clipped_payoff(S)
     est = float(np.mean(Y))
     se = float(np.std(Y, ddof=1) / np.sqrt(n_paths))
@@ -365,8 +256,9 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
     Keys: dim, u, v, T, D, steps, and either ``gbm: mu_rate sigma_rate`` or
     ``drift_matrix``/``drift_vector``/``diffusion<i>`` blocks (one row per
     continuation line).  Payoff: ``payoff: put c_1 ... c_d D`` or
-    ``payoff_file: path``.  Malformed input raises ValueError naming
-    ``source`` and the offending line, or the missing key.
+    ``payoff_file: path``; dim is at most 256.  Malformed input, a
+    non-finite number included, raises ValueError naming ``source`` and
+    the offending line, or the missing key.
     """
     entries = {}  # key -> (line number, text after the colon, continuation lines)
     current = None
@@ -395,9 +287,12 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
             want = " or ".join(str(c) for c in sorted(set(counts)))
             raise ValueError(f"{source}:{no}: '{key}' needs {want} values, got {len(tokens)}")
         try:
-            return [cast(t) for t in tokens]
+            vals = [cast(t) for t in tokens]
         except ValueError:
             raise ValueError(f"{source}:{no}: '{key}' holds a value that is not a number") from None
+        if cast is float and not np.all(np.isfinite(vals)):
+            raise ValueError(f"{source}:{no}: '{key}' holds a value that is not finite")
+        return vals
 
     def scalar(key, cast=float, default=None):
         if key not in entries and default is not None:
@@ -416,8 +311,9 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
         return np.array([numbers(key, r_no, row.split(), (d,)) for r_no, row in rows])
 
     d = scalar("dim", int)
-    if d < 1:
-        raise ValueError(f"{source}:{entries['dim'][0]}: 'dim' must be at least 1")
+    if not 1 <= d <= _MAX_FILE_DIM:
+        bound = "at least 1" if d < 1 else f"at most {_MAX_FILE_DIM}"
+        raise ValueError(f"{source}:{entries['dim'][0]}: 'dim' must be {bound}")
     u, v, T, D = scalar("u"), scalar("v"), scalar("T"), scalar("D")
     steps = int(scalar("steps", float, 128))
     if "gbm" in entries:
@@ -438,12 +334,11 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
         if kind != "put":
             raise ValueError(f"{source}:{no}: unknown payoff spec '{kind}'")
         vals = numbers("payoff", no, tokens, (d + 1,))
-        payoff = put_payoff_network(vals[:d], vals[d])
+        try:
+            payoff = put_payoff_network(vals[:d], vals[d])
+        except ValueError as exc:
+            raise ValueError(f"{source}:{no}: {exc}") from None
     elif "payoff_file" in entries:
-        from pathlib import Path
-
-        from .nets import load_network
-
         no, name, _ = entries["payoff_file"]
         if not name:
             raise ValueError(f"{source}:{no}: 'payoff_file' needs a file name")
@@ -466,7 +361,5 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
 
 
 def load_problem(path) -> KolmogorovProblem:
-    from pathlib import Path
-
     p = Path(path)
     return problem_from_text(p.read_text(), base_dir=p.parent, source=str(p))

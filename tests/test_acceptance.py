@@ -42,13 +42,12 @@ from kolnet.nets import (
 )
 from kolnet.sde import (
     AffineCoefficients,
-    BrownianDriver,
     KolmogorovProblem,
-    extract_affine_representation,
+    extract_affine_batch,
     gbm_coefficients,
     mc_feynman_kac,
     mc_reference_grid,
-    simulate_terminal,
+    terminal_values,
 )
 
 
@@ -271,12 +270,12 @@ def test_affine_representation_exactness():
             ),
         ]
         for prob in problems:
-            driver = BrownianDriver(seed=rs.randint(1 << 30), steps=prob.steps, d=d)
-            amap = extract_affine_representation(prob, driver)
+            seed = np.array([rs.randint(1 << 30)], dtype=np.uint64)
+            M, N = extract_affine_batch(prob, seed)
             for _ in range(100):
                 x = rs.uniform(-1.0, 2.0, size=d)
-                direct = simulate_terminal(prob, x, driver)
-                worst = max(worst, float(np.abs(direct - amap.apply(x)).max()))
+                direct = terminal_values(prob, x[None, :], rng.stream_key(seed))[0]
+                worst = max(worst, float(np.abs(direct - (M[0] @ x + N[0])).max()))
     dt = time.perf_counter() - t0
     _report(
         3,

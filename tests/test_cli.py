@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kolnet import constructive
 from kolnet.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -114,8 +116,9 @@ payoff: put 1.0 1.0
         (GBM_D1.replace("put 1.0 1.0", "put 1.0"), ":8: 'payoff' needs 2 values, got 1"),
         (EULER_D1.format(a="0.0").replace("steps: 16", "steps: 0"), ": steps must be >= 1"),
         (GBM_D1.replace("payoff: put 1.0 1.0", "payoff_file:"), ":8: 'payoff_file' needs a file name"),
+        (GBM_D1.replace("steps: 16", "steps: inf"), ":6: 'steps' holds a value that is not finite"),
     ],
-    ids=["no_dynamics", "payoff_without_cap", "zero_steps", "empty_payoff_file"],
+    ids=["no_dynamics", "payoff_without_cap", "zero_steps", "empty_payoff_file", "infinite_steps"],
 )
 def test_simulate_bad_problem_file_is_usage_error(tmp_path, capsys, text, message):
     problem = tmp_path / "p.txt"
@@ -212,6 +215,21 @@ def test_build_then_evaluate(tmp_path, capsys):
     assert lines[1] == "l2_error,noise_floor,reference,grid"
     err = float(lines[2].split(",")[0])
     assert err < 1e-2  # n=64 Monte-Carlo width is already accurate
+
+
+def test_build_violated_cap_is_numeric_failure(tmp_path, capsys, monkeypatch):
+    verify = constructive.verify_construction_bounds
+    monkeypatch.setattr(
+        constructive, "verify_construction_bounds", lambda *a: replace(verify(*a), param_cap=0)
+    )
+    code = run([
+        "build", PUT_D1, "--n", "8", "--retries", "1", "--seed", "2",
+        "--out-dir", str(tmp_path), "--grid", "4", "--paths", "100",
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert "numerical failure: construction bounds violated" in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_truncated_network_is_usage_error(tmp_path, capsys):

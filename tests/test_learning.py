@@ -1,8 +1,6 @@
 """Tests for dataset generation, empirical risk, ERM training, and the
 error-decomposition report."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -96,59 +94,6 @@ def test_dataset_rejects_empty():
         generate_dataset(prob, 0, seed=0)
 
 
-def test_dataset_save_load_round_trip(tmp_path):
-    prob = put_problem()
-    data = generate_dataset(prob, 256, seed=5)
-    path = tmp_path / "data.bin"
-    data.save(path, prob.u, prob.v, prob.clip_amplitude)
-    back = Dataset.load(path)
-    assert np.array_equal(back.inputs, data.inputs)
-    assert np.array_equal(back.labels, data.labels)
-    assert back.seed == data.seed
-    # Same (problem, seed, m) must reproduce identical bytes on disk.
-    path2 = tmp_path / "data2.bin"
-    generate_dataset(prob, 256, seed=5).save(path2, prob.u, prob.v, prob.clip_amplitude)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def _saved_dataset_bytes(tmp_path):
-    prob = put_problem(d=2)
-    path = tmp_path / "data.bin"
-    generate_dataset(prob, 10, seed=5).save(path, prob.u, prob.v, prob.clip_amplitude)
-    return path, path.read_bytes()
-
-
-def test_dataset_load_truncated_header_names_file(tmp_path):
-    path, raw = _saved_dataset_bytes(tmp_path)
-    path.write_bytes(raw[:20])
-    with pytest.raises(ValueError, match=re.escape(f"{path}: file ends inside the 68-byte header")):
-        Dataset.load(path)
-
-
-def test_dataset_load_truncated_body_names_file(tmp_path):
-    path, raw = _saved_dataset_bytes(tmp_path)
-    path.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match=re.escape(f"{path}: file has {len(raw) - 8} bytes, expected {len(raw)}")):
-        Dataset.load(path)
-
-
-def test_dataset_load_trailing_bytes_names_file(tmp_path):
-    path, raw = _saved_dataset_bytes(tmp_path)
-    path.write_bytes(raw + b"\0")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: file has {len(raw) + 1} bytes, expected {len(raw)}")):
-        Dataset.load(path)
-
-
-def test_dataset_csv_export(tmp_path):
-    prob = put_problem(d=2)
-    data = generate_dataset(prob, 10, seed=6)
-    path = tmp_path / "data.csv"
-    data.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x_1,x_2,y"
-    assert len(lines) == 11
-
-
 # ---------------------------------------------------------------------------
 # empirical_risk
 
@@ -156,13 +101,13 @@ def test_dataset_csv_export(tmp_path):
 def test_empirical_risk_zero_net():
     p = Parametrization(((np.array([[0.0]]), np.array([0.0])),))
     f = ClippedNetwork(p, 2.0)
-    data = Dataset(np.zeros((5, 1)), np.ones(5), "h", 0)
+    data = Dataset(np.zeros((5, 1)), np.ones(5))
     assert empirical_risk(f, data) == 1.0
 
 
 def test_empirical_risk_hand_case():
     f = identity_clipped(D=3.0)
-    data = Dataset(np.array([[0.0], [1.0], [2.0]]), np.zeros(3), "h", 0)
+    data = Dataset(np.array([[0.0], [1.0], [2.0]]), np.zeros(3))
     assert empirical_risk(f, data) == pytest.approx(5.0 / 3.0)
 
 
@@ -183,7 +128,7 @@ def test_empirical_risk_range():
 
 def test_empirical_risk_dimension_mismatch():
     f = identity_clipped()
-    data = Dataset(np.zeros((5, 2)), np.zeros(5), "h", 0)
+    data = Dataset(np.zeros((5, 2)), np.zeros(5))
     with pytest.raises(ValueError):
         empirical_risk(f, data)
 
@@ -195,7 +140,7 @@ def test_empirical_risk_dimension_mismatch():
 def test_train_constant_target():
     prob = noiseless_put_problem()
     data = generate_dataset(prob, 2000, seed=9)
-    data = Dataset(data.inputs, np.full(data.m, 0.4), data.problem_hash, data.seed)
+    data = Dataset(data.inputs, np.full(data.m, 0.4))
     cfg = TrainConfig(
         architecture=Architecture((1, 8, 1)), clip_amplitude=1.0,
         iterations=4000, seed=0,
@@ -218,7 +163,7 @@ def test_train_realizable_payoff_architecture():
 def test_train_empty_dataset_rejected():
     cfg = TrainConfig(architecture=Architecture((1, 2, 1)), clip_amplitude=1.0)
     with pytest.raises(ValueError):
-        train_erm(Dataset(np.zeros((0, 1)), np.zeros(0), "h", 0), cfg)
+        train_erm(Dataset(np.zeros((0, 1)), np.zeros(0)), cfg)
 
 
 def test_train_seed_determinism():

@@ -650,6 +650,9 @@ def test_load_malformed_rows_name_file_and_line(tmp_path):
         7: lines[7] + " 1.0",  # B1 one entry long
         9: lines[9].replace(lines[9].split()[0], "x1"),  # W2 token not a number
         0: "arch: 3 0 1",
+        4: lines[4].replace(lines[4].split()[0], "nan"),  # W1 row 3 not finite
+        5: lines[5].replace(lines[5].split()[1], "1e400"),  # W1 row 4 overflows
+        11: "-inf",  # B2 not finite
     }
     for at, bad in cases.items():
         path.write_text("\n".join(lines[:at] + [bad] + lines[at + 1 :]) + "\n")

@@ -9,19 +9,15 @@ from kolnet.analytic import lognormal_capped_put
 from kolnet.nets import Parametrization, put_payoff_network, realize
 from kolnet.sde import (
     AffineCoefficients,
-    AffineMap,
-    BrownianDriver,
     KolmogorovProblem,
     SimulationError,
     extract_affine_batch,
-    extract_affine_representation,
     gbm_coefficients,
     mc_feynman_kac,
     mc_reference_grid,
     problem_from_text,
-    simulate_terminal,
+    terminal_values,
 )
-from kolnet.sde import _terminal_batch
 
 
 def zero_coeffs(d):
@@ -68,6 +64,35 @@ def generic_problem(coeffs, d, T=1.0, D=2.0, u=-1.0, v=1.0, steps=64):
     )
 
 
+def terminal(problem, x0, seed):
+    """S_T^{x0} on the stream of ``seed``: a one-row terminal_values call."""
+    key = rng.stream_key(np.array([seed], dtype=np.uint64))
+    return terminal_values(problem, np.atleast_2d(x0), key)[0]
+
+
+def normals(seed, steps, d):
+    """The (steps, d) standard normals an Euler path on the stream of ``seed`` draws."""
+    return rng.gaussians(rng.stream_key(np.uint64(seed)), np.arange(steps * d)).reshape(steps, d)
+
+
+def diffusion(coeffs, x):
+    """sigma(x) = C_0 + sum_i x_i C_i at a single state."""
+    S = coeffs.C[0].copy()
+    for i in range(coeffs.dim):
+        S += x[i] * coeffs.C[i + 1]
+    return S
+
+
+def satisfies_growth_bound(coeffs, points):
+    """||sigma(x)||_F + ||mu(x)|| <= L (1 + ||x||) at every point."""
+    L = coeffs.linear_growth_L
+    return all(
+        np.linalg.norm(diffusion(coeffs, x)) + np.linalg.norm(coeffs.A @ x + coeffs.b)
+        <= L * (1.0 + np.linalg.norm(x)) + 1e-12
+        for x in points
+    )
+
+
 # ---------------------------------------------------------------------------
 # Coefficient types
 
@@ -76,7 +101,7 @@ def test_affine_coefficients_growth_bound_autofit():
     coeffs = random_affine_coeffs(3, seed=0)
     assert coeffs.linear_growth_L > 0
     pts = np.random.RandomState(1).uniform(-2, 2, size=(1000, 3))
-    assert coeffs.satisfies_growth_bound(pts)
+    assert satisfies_growth_bound(coeffs, pts)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -92,7 +117,7 @@ def test_growth_constant_bounds_far_field_points(seed):
     K = np.stack([Ci.ravel() for Ci in C[1:]], axis=1)
     tops = [np.linalg.svd(K)[2][0], np.linalg.svd(A)[2][0]]
     pts = np.array([sign * 1e6 * v for v in tops for sign in (1.0, -1.0)])
-    assert coeffs.satisfies_growth_bound(pts)
+    assert satisfies_growth_bound(coeffs, pts)
 
 
 def test_gbm_growth_constant_closed_form():
@@ -104,8 +129,8 @@ def test_gbm_coefficients_shape_and_flag():
     coeffs = gbm_coefficients(2, 0.05, 0.2)
     assert coeffs.is_diagonal_gbm()
     x = np.array([[1.0, 2.0]])
-    assert np.allclose(coeffs.drift(x), 0.05 * x)
-    sig = coeffs.diffusion(np.array([1.0, 2.0]))
+    assert np.allclose(x @ coeffs.A.T + coeffs.b, 0.05 * x)
+    sig = diffusion(coeffs, np.array([1.0, 2.0]))
     assert np.allclose(sig, np.diag([0.2, 0.4]))
 
 
@@ -119,47 +144,33 @@ def test_problem_validation():
         KolmogorovProblem(gbm_coefficients(2, 0.0, 0.2), 1.0, payoff, 1.0, 0.0, 1.0)
 
 
-def test_affine_map_apply():
-    m = AffineMap(np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, -1.0]))
-    assert np.array_equal(m.apply(np.array([1.0, 1.0])), [3.0, 2.0])
-
-
 # ---------------------------------------------------------------------------
-# BrownianDriver
-
-
-def test_driver_reproducible():
-    d1 = BrownianDriver(seed=9, steps=16, d=3)
-    d2 = BrownianDriver(seed=9, steps=16, d=3)
-    assert np.array_equal(d1.normals(), d2.normals())
-    d3 = BrownianDriver(seed=10, steps=16, d=3)
-    assert not np.array_equal(d1.normals(), d3.normals())
-
-
-def test_driver_normals_shape():
-    drv = BrownianDriver(seed=0, steps=7, d=4)
-    assert drv.normals().shape == (7, 4)
-
-
-# ---------------------------------------------------------------------------
-# simulate_terminal
+# terminal_values
 
 
 def test_degenerate_sde_returns_x0():
     prob = generic_problem(zero_coeffs(3), d=3)
     x0 = np.array([0.3, -0.2, 0.9])
     for seed in (0, 1, 2):
-        out = simulate_terminal(prob, x0, BrownianDriver(seed, prob.steps, 3))
+        out = terminal(prob, x0, seed)
         assert np.array_equal(out, x0)
 
 
 def test_single_step_brownian_motion_exact():
     # Constant coefficients: one Euler step is exact, S_T = x0 + sqrt(T) Z.
     prob = generic_problem(brownian_coeffs(1), d=1, T=0.25, steps=1)
-    drv = BrownianDriver(seed=5, steps=1, d=1)
-    z = drv.normals()[0, 0]
-    out = simulate_terminal(prob, np.array([0.1]), drv)
+    z = normals(5, 1, 1)[0, 0]
+    out = terminal(prob, np.array([0.1]), 5)
     assert out[0] == pytest.approx(0.1 + 0.5 * z, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "X0", [np.ones((3, 1)), np.ones((2, 2)), np.ones(2), np.array([[1.0], [np.nan]])]
+)
+def test_terminal_values_rejects_bad_start_points(X0):
+    keys = rng.stream_key(np.arange(2, dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"X0 must be a finite \(2, 1\) array"):
+        terminal_values(put_problem(), X0, keys)
 
 
 def test_gbm_terminal_mean():
@@ -167,17 +178,16 @@ def test_gbm_terminal_mean():
     prob = put_problem(mu=0.05, sigma=0.2, T=1.0)
     n = 100000
     keys = rng.stream_key(rng.child_seeds(31, np.arange(n)))
-    S = _terminal_batch(prob, np.ones((n, 1)), keys)[:, 0]
+    S = terminal_values(prob, np.ones((n, 1)), keys)[:, 0]
     se = S.std(ddof=1) / np.sqrt(n)
     assert abs(S.mean() - np.exp(0.05)) < 4 * se
 
 
 def test_gbm_exact_matches_lognormal_distribution():
     prob = put_problem(mu=0.0, sigma=0.3, T=0.5)
-    drv = BrownianDriver(seed=1, steps=prob.steps, d=1)
-    out = simulate_terminal(prob, np.array([1.2]), drv)
-    # Exact simulation consumes the first Gaussian of the driver's stream.
-    z = drv.normals()[0, 0]
+    out = terminal(prob, np.array([1.2]), 1)
+    # Exact simulation consumes the first Gaussian of the path's stream.
+    z = normals(1, prob.steps, 1)[0, 0]
     want = 1.2 * np.exp((0.0 - 0.045) * 0.5 + 0.3 * np.sqrt(0.5) * z)
     assert out[0] == pytest.approx(want, rel=1e-12)
 
@@ -185,8 +195,8 @@ def test_gbm_exact_matches_lognormal_distribution():
 def test_seed_determinism_bit_identical():
     prob = generic_problem(random_affine_coeffs(2, seed=3), d=2)
     x0 = np.array([0.5, -0.5])
-    a = simulate_terminal(prob, x0, BrownianDriver(42, prob.steps, 2))
-    b = simulate_terminal(prob, x0, BrownianDriver(42, prob.steps, 2))
+    a = terminal(prob, x0, 42)
+    b = terminal(prob, x0, 42)
     assert np.array_equal(a, b)
 
 
@@ -221,7 +231,7 @@ def test_euler_kernel_bit_identical_to_path_major_loop():
     n = 2 * sde._EULER_CHUNK + 123  # three chunks, the last one partial
     X0 = np.random.RandomState(5).uniform(-1, 1, size=(n, d))
     keys = rng.stream_key(rng.child_seeds(17, np.arange(n)))
-    got = _terminal_batch(prob, X0, keys)
+    got = terminal_values(prob, X0, keys)
     assert got.shape == (n, d)
     assert np.array_equal(got, path_major_euler(prob, X0, keys))
 
@@ -235,9 +245,9 @@ def test_extract_affine_batch_across_chunk_boundary():
     seeds = np.arange(boundary + 3)
     Ms, Ns = extract_affine_batch(prob, seeds)
     for j in (0, boundary - 1, boundary, boundary + 1, len(seeds) - 1):
-        rep = extract_affine_representation(prob, BrownianDriver(int(seeds[j]), 16, d))
-        assert np.array_equal(Ms[j], rep.M), j
-        assert np.array_equal(Ns[j], rep.N), j
+        M, N = extract_affine_batch(prob, seeds[j : j + 1])
+        assert np.array_equal(Ms[j], M[0]), j
+        assert np.array_equal(Ns[j], N[0]), j
 
 
 def exploding_problem(steps=64):
@@ -257,59 +267,56 @@ def test_simulation_error_names_earliest_step_over_all_chunks():
     keys = rng.stream_key(rng.child_seeds(2, np.arange(n)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationError) as first_chunk_only:
-            _terminal_batch(prob, X0[: late + 1], keys[: late + 1])
+            terminal_values(prob, X0[: late + 1], keys[: late + 1])
         with pytest.raises(SimulationError) as reference:
             path_major_euler(prob, X0, keys)
         with pytest.raises(SimulationError) as got:
-            _terminal_batch(prob, X0, keys)
+            terminal_values(prob, X0, keys)
     assert reference.value.step < first_chunk_only.value.step
     assert got.value.step == reference.value.step
     assert f"step {reference.value.step}" in str(got.value)
 
 
 # ---------------------------------------------------------------------------
-# extract_affine_representation
+# extract_affine_batch
 
 
 def test_affine_rep_degenerate():
     prob = generic_problem(zero_coeffs(2), d=2)
-    rep = extract_affine_representation(prob, BrownianDriver(0, prob.steps, 2))
-    assert np.array_equal(rep.M, np.eye(2))
-    assert np.array_equal(rep.N, np.zeros(2))
+    M, N = extract_affine_batch(prob, [0])
+    assert np.array_equal(M[0], np.eye(2))
+    assert np.array_equal(N[0], np.zeros(2))
 
 
 def test_affine_rep_additive_noise():
     prob = generic_problem(brownian_coeffs(1), d=1, T=1.0, steps=8)
-    drv = BrownianDriver(11, 8, 1)
-    rep = extract_affine_representation(prob, drv)
-    b_T = np.sqrt(1.0 / 8) * drv.normals().sum()
-    assert rep.M[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert rep.N[0] == pytest.approx(b_T, abs=1e-12)
+    M, N = extract_affine_batch(prob, [11])
+    b_T = np.sqrt(1.0 / 8) * normals(11, 8, 1).sum()
+    assert M[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert N[0, 0] == pytest.approx(b_T, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_affine_rep_exact_euler(d):
     prob = generic_problem(random_affine_coeffs(d, seed=d), d=d, steps=64)
-    drv = BrownianDriver(100 + d, 64, d)
-    rep = extract_affine_representation(prob, drv)
+    M, N = extract_affine_batch(prob, [100 + d])
     rs = np.random.RandomState(d)
     worst = 0.0
     for _ in range(50):
         x = rs.uniform(-1, 1, size=d)
-        direct = simulate_terminal(prob, x, drv)
-        worst = max(worst, np.max(np.abs(direct - rep.apply(x))))
+        direct = terminal(prob, x, 100 + d)
+        worst = max(worst, np.max(np.abs(direct - (M[0] @ x + N[0]))))
     assert worst <= 1e-9
 
 
 def test_affine_rep_exact_gbm():
     prob = put_problem(mu=0.02, sigma=0.25)
-    drv = BrownianDriver(7, prob.steps, 1)
-    rep = extract_affine_representation(prob, drv)
+    M, N = extract_affine_batch(prob, [7])
     rs = np.random.RandomState(0)
     for _ in range(50):
         x = rs.uniform(0.5, 1.5, size=1)
-        direct = simulate_terminal(prob, x, drv)
-        assert np.max(np.abs(direct - rep.apply(x))) <= 1e-12
+        direct = terminal(prob, x, 7)
+        assert np.max(np.abs(direct - (M[0] @ x + N[0]))) <= 1e-12
 
 
 def test_extract_affine_batch_matches_single():
@@ -317,9 +324,9 @@ def test_extract_affine_batch_matches_single():
     seeds = np.arange(5)
     Ms, Ns = extract_affine_batch(prob, seeds)
     for i, s in enumerate(seeds):
-        rep = extract_affine_representation(prob, BrownianDriver(int(s), 32, 2))
-        assert np.array_equal(Ms[i], rep.M)
-        assert np.array_equal(Ns[i], rep.N)
+        M, N = extract_affine_batch(prob, [s])
+        assert np.array_equal(Ms[i], M[0])
+        assert np.array_equal(Ns[i], N[0])
 
 
 def test_affine_rep_moment_bound():
@@ -504,6 +511,18 @@ def test_problem_requires_positive_steps():
         (("gbm: 0.0 0.2", "gbm: 0.0 0.2 0.3"), "t.txt:9: 'gbm' needs 2 values, got 3"),
         (("payoff: put", "payoff: call"), "t.txt:10: unknown payoff spec 'call'"),
         (("dim: 1", "  dim: 1"), "t.txt:3: continuation line without a key"),
+        (("dim: 1", "dim: 257"), "t.txt:3: 'dim' must be at most 256"),
+        (("steps: 128", "steps: inf"), "t.txt:8: 'steps' holds a value that is not finite"),
+        (("steps: 128", "steps: nan"), "t.txt:8: 'steps' holds a value that is not finite"),
+        (("T: 1.0", "T: nan"), "t.txt:6: 'T' holds a value that is not finite"),
+        (("T: 1.0", "T: inf"), "t.txt:6: 'T' holds a value that is not finite"),
+        (("D: 1.0", "D: nan"), "t.txt:7: 'D' holds a value that is not finite"),
+        (("D: 1.0", "D: inf"), "t.txt:7: 'D' holds a value that is not finite"),
+        (("u: 0.5", "u: -inf"), "t.txt:4: 'u' holds a value that is not finite"),
+        (("v: 1.5", "v: 1e400"), "t.txt:5: 'v' holds a value that is not finite"),
+        (("gbm: 0.0 0.2", "gbm: nan 0.2"), "t.txt:9: 'gbm' holds a value that is not finite"),
+        (("put 1.0 1.0", "put 1.0 inf"), "t.txt:10: 'payoff' holds a value that is not finite"),
+        (("put 1.0 1.0", "put 1.0 -1.0"), "t.txt:10: cap D must be positive"),
     ],
 )
 def test_problem_text_errors_name_file_and_line(edit, message):
@@ -529,10 +548,5 @@ drift_vector: 0 0
         problem_from_text(text, source="t.txt")
     with pytest.raises(ValueError, match="^t.txt:6: 'drift_matrix' needs 2 rows"):
         problem_from_text(text.replace("  0.0\n", ""), source="t.txt")
-
-
-def test_problem_content_hash_stable():
-    p1 = problem_from_text(PROBLEM_TEXT)
-    p2 = problem_from_text(PROBLEM_TEXT)
-    assert p1.content_hash() == p2.content_hash()
-    assert p1.content_hash() != put_problem(sigma=0.3).content_hash()
+    with pytest.raises(ValueError, match="^t.txt:8: 'drift_matrix' holds a value that is not finite$"):
+        problem_from_text(text.replace("  0.0\n", "  nan 0.0\n"), source="t.txt")
