@@ -87,7 +87,11 @@ def _grid_points(problem: KolmogorovProblem, size: int, seed: int) -> np.ndarray
 
 
 def _closed_form_reference(problem: KolmogorovProblem, points: np.ndarray):
-    """Exact reference for the d=1 GBM capped put; None when not applicable."""
+    """Exact reference for the d=1 GBM capped put; None when not applicable.
+
+    The payoff counts as the capped put only when every layer equals that of
+    ``put_payoff_network(c, cap)`` for the c and cap its first layer holds.
+    """
     if problem.dim != 1 or not problem.gbm_flag:
         return None
     arch = problem.payoff.architecture
@@ -97,6 +101,10 @@ def _closed_form_reference(problem: KolmogorovProblem, points: np.ndarray):
     c = -float(W1[0, 0])
     cap = float(B1[0])
     if c <= 0 or cap != problem.clip_amplitude:
+        return None
+    put = put_payoff_network([c], cap)
+    if not all(np.array_equal(W, V) and np.array_equal(B, A)
+               for (W, B), (V, A) in zip(problem.payoff.layers, put.layers)):
         return None
     mu = float(problem.coeffs.A[0, 0])
     sig = float(problem.coeffs.C[1][0, 0])

@@ -8,6 +8,8 @@ averaged composition of a network with a family of affine maps.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -307,78 +309,115 @@ def _format_rows(W: np.ndarray) -> list:
     return [" ".join(row) for row in tokens.tolist()]
 
 
-def _weight_lines(W: np.ndarray) -> list:
-    """Text rows of a weight; a block stack is written as its dense matrix."""
-    if W.ndim == 2:
-        return _format_rows(W)
-    n, out_w, in_w = W.shape
-    rows = _format_rows(W.reshape(n * out_w, in_w))
-    return [
-        "0 " * (k // out_w * in_w) + row + " 0" * ((n - 1 - k // out_w) * in_w)
-        for k, row in enumerate(rows)
-    ]
-
-
 def save_network(params: Parametrization, path) -> None:
-    """Write a network in the flat text format (17 significant digits)."""
-    lines = ["arch: " + " ".join(str(w) for w in params.architecture.widths)]
-    for l, (W, B) in enumerate(params.layers, start=1):
-        lines.append(f"W{l}")
-        lines.extend(_weight_lines(W))
-        lines.append(f"B{l}")
-        lines.extend(_format_rows(B[None, :]))
+    """Write a network in the flat text format (17 significant digits).
+
+    Every weight is written as its dense matrix, one row per line.  Rows go
+    to the file as they are formatted; a block-stack row is a slice of one
+    shared run of "0 " tokens, its block's tokens and another such slice,
+    so working memory is one row plus the formatted blocks, never the file.
+    """
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("arch: " + " ".join(str(w) for w in params.architecture.widths) + "\n")
+        for l, (W, B) in enumerate(params.layers, start=1):
+            fh.write(f"W{l}\n")
+            if W.ndim == 2:
+                for row in _format_rows(W):
+                    fh.write(row + "\n")
+            else:
+                n, out_w, in_w = W.shape
+                zeros = "0 " * (n * in_w)
+                for k, row in enumerate(_format_rows(W.reshape(n * out_w, in_w))):
+                    before, after = k // out_w * in_w, (n - 1 - k // out_w) * in_w
+                    fh.write(zeros[: 2 * before] + row + zeros[1 : 2 * after + 1] + "\n")
+            fh.write(f"B{l}\n" + _format_rows(B[None, :])[0] + "\n")
+
+
+def _zero_run(found, most: int) -> int:
+    """Largest k <= most with found(k), for found monotone and found(0) true."""
+    return bisect.bisect_left(range(most + 1), True, key=lambda k: not found(k)) - 1
 
 
 def load_network(path) -> Parametrization:
     """Read a network written by save_network.
 
-    A file that is cut short, has a row with the wrong number of entries or
-    a token that is not a finite number raises ValueError naming the file
-    and line.
+    Rows are read one at a time, keeping only the span from a row's first
+    to its last token other than "0" (so "-0" counts).  A hidden-to-hidden
+    weight whose row spans fit n >= 2 equal diagonal blocks is returned as
+    the (n, b_l, b_{l-1}) block stack of the largest such n, as
+    ``compose_average`` builds it, so a built network reloads in one row
+    plus its blocks of memory; other weights are dense.  A file that is
+    cut short, has a row with the wrong number of entries or a token that
+    is not a finite number raises ValueError naming the file and line.
     """
     with open(path) as fh:
-        lines = iter([(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()])
+        lines = ((no, text) for no, line in enumerate(fh, start=1) if (text := line.strip()))
 
-    def next_line(what: str):
-        line = next(lines, None)
-        if line is None:
-            raise ValueError(f"{path}: file ends before {what}")
-        return line
+        def next_line(what: str):
+            line = next(lines, None)
+            if line is None:
+                raise ValueError(f"{path}: file ends before {what}")
+            return line
 
-    def tag(name: str) -> None:
-        no, text = next_line(f"'{name}'")
-        if text != name:
-            raise ValueError(f"{path}:{no}: expected '{name}'")
+        def tag(name: str) -> None:
+            no, text = next_line(f"'{name}'")
+            if text != name:
+                raise ValueError(f"{path}:{no}: expected '{name}'")
 
-    def numbers(what: str, length: int) -> list:
-        no, text = next_line(what)
-        tokens = text.split()
-        if len(tokens) != length:
-            raise ValueError(f"{path}:{no}: {what} has {len(tokens)} entries, expected {length}")
+        def span(what: str, length: int):
+            """(first, values) of a row's tokens from its first to its last non-"0"."""
+            no, text = next_line(what)
+            tokens = text.split()
+            if len(tokens) != length:
+                raise ValueError(f"{path}:{no}: {what} has {len(tokens)} entries, expected {length}")
+            # Bisect the writer's runs of "0 " in the text, then step over any rest.
+            zeros = "0 " * length
+            first = _zero_run(lambda k: text.startswith(zeros[: 2 * k]), length)
+            while first < length and tokens[first] == "0":
+                first += 1
+            end = length - _zero_run(lambda k: text.endswith(zeros[1 : 2 * k + 1]), length - first)
+            while end > first and tokens[end - 1] == "0":
+                end -= 1
+            try:
+                vals = np.array([float(x) for x in tokens[first:end]])
+            except ValueError:
+                raise ValueError(f"{path}:{no}: {what} holds a token that is not a number") from None
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"{path}:{no}: {what} holds a value that is not finite")
+            return first, vals
+
+        def matrix(rows: int, cols: int, spans: list, most_blocks: int) -> np.ndarray:
+            first = np.array([f for f, _ in spans])
+            last = first + np.array([len(v) for _, v in spans]) - 1
+
+            def blocks_fit(n: int) -> bool:
+                lo = np.arange(rows) // (rows // n) * (cols // n)
+                return bool(np.all((first >= lo) & (last < lo + cols // n) | (last < first)))
+
+            n = next((k for k in range(most_blocks, 1, -1)
+                      if rows % k == cols % k == 0 and blocks_fit(k)), 1)
+            W = np.zeros((rows, cols // n))
+            for r, (f, vals) in enumerate(spans):
+                f -= r // (rows // n) * (cols // n)
+                W[r, f : f + len(vals)] = vals
+            return W.reshape(n, rows // n, cols // n) if n > 1 else W
+
+        no, text = next_line("the 'arch:' header")
         try:
-            vals = [float(x) for x in tokens]
-        except ValueError:
-            raise ValueError(f"{path}:{no}: {what} holds a token that is not a number") from None
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"{path}:{no}: {what} holds a value that is not finite")
-        return vals
-
-    no, text = next_line("the 'arch:' header")
-    try:
-        if not text.startswith("arch:"):
-            raise ValueError("missing 'arch:' header")
-        widths = Architecture(tuple(int(w) for w in text[len("arch:"):].split())).widths
-    except ValueError as exc:
-        raise ValueError(f"{path}:{no}: {exc}") from None
-    layers = []
-    for l in range(1, len(widths)):
-        tag(f"W{l}")
-        W = [numbers(f"row {r + 1} of W{l}", widths[l - 1]) for r in range(widths[l])]
-        tag(f"B{l}")
-        layers.append((np.array(W), np.array(numbers(f"B{l}", widths[l]))))
-    extra = next(lines, None)
+            if not text.startswith("arch:"):
+                raise ValueError("missing 'arch:' header")
+            widths = Architecture(tuple(int(w) for w in text[len("arch:"):].split())).widths
+        except ValueError as exc:
+            raise ValueError(f"{path}:{no}: {exc}") from None
+        layers = []
+        for l in range(1, len(widths)):
+            tag(f"W{l}")
+            spans = [span(f"row {r + 1} of W{l}", widths[l - 1]) for r in range(widths[l])]
+            most = math.gcd(widths[l - 1], widths[l]) if 1 < l < len(widths) - 1 else 1
+            W = matrix(widths[l], widths[l - 1], spans, most)
+            tag(f"B{l}")
+            layers.append((W, matrix(1, widths[l], [span(f"B{l}", widths[l])], 1)[0]))
+        extra = next(lines, None)
     if extra is not None:
         raise ValueError(f"{path}:{extra[0]}: unexpected text after the last layer")
     return Parametrization(tuple(layers))

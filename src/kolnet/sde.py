@@ -40,6 +40,11 @@ _EULER_CHUNK = 4096
 # d+1 dense d x d diffusion matrices, (d+1) d^2 floats (135 MB at d = 256).
 _MAX_FILE_DIM = 256
 
+# Largest Euler step count a problem file may declare.  Every step of every
+# path draws d Gaussians; at 2^20 steps a single d = 1 path already costs
+# about a million draws, so a larger count is a typo, not a finer grid.
+_MAX_FILE_STEPS = 1 << 20
+
 
 class SimulationError(RuntimeError):
     """Non-finite state encountered during path simulation."""
@@ -174,7 +179,7 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     steps = problem.steps
     dt = T / steps
     sqdt = np.sqrt(dt)
-    counters = np.arange(steps * d).reshape(steps, d, 1)
+    coords = np.arange(d)[:, None]  # step k draws at counters k*d + coords
     C = np.vstack(co.C)  # ((d+1)*d, d): all diffusion products in one matmul
     b = co.b[:, None]
     out = np.empty((n, d))
@@ -183,7 +188,7 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
         hi = min(lo + _EULER_CHUNK, n)
         X = np.array(X0[lo:hi].T, dtype=np.float64, order="C")
         for k in range(bad_step):
-            dB = rng.gaussians(keys[None, lo:hi], counters[k])
+            dB = rng.gaussians(keys[None, lo:hi], k * d + coords)
             dB *= sqdt
             drift = co.A @ X
             drift += b
@@ -256,9 +261,9 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
     Keys: dim, u, v, T, D, steps, and either ``gbm: mu_rate sigma_rate`` or
     ``drift_matrix``/``drift_vector``/``diffusion<i>`` blocks (one row per
     continuation line).  Payoff: ``payoff: put c_1 ... c_d D`` or
-    ``payoff_file: path``; dim is at most 256.  Malformed input, a
-    non-finite number included, raises ValueError naming ``source`` and
-    the offending line, or the missing key.
+    ``payoff_file: path``; dim is at most 256 and steps an integer of at
+    most 2^20.  Malformed input, a non-finite number included, raises
+    ValueError naming ``source`` and the offending line, or the missing key.
     """
     entries = {}  # key -> (line number, text after the colon, continuation lines)
     current = None
@@ -315,7 +320,12 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
         bound = "at least 1" if d < 1 else f"at most {_MAX_FILE_DIM}"
         raise ValueError(f"{source}:{entries['dim'][0]}: 'dim' must be {bound}")
     u, v, T, D = scalar("u"), scalar("v"), scalar("T"), scalar("D")
-    steps = int(scalar("steps", float, 128))
+    steps = scalar("steps", float, 128)
+    if steps != int(steps) or steps > _MAX_FILE_STEPS:
+        raise ValueError(
+            f"{source}:{entries['steps'][0]}: 'steps' must be an integer of at most {_MAX_FILE_STEPS}"
+        )
+    steps = int(steps)
     if "gbm" in entries:
         vals = vector("gbm", (2, 2 * d))
         coeffs = gbm_coefficients(d, vals[: len(vals) // 2], vals[len(vals) // 2 :])

@@ -7,8 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kolnet import constructive
+from kolnet import cli, constructive, rng
 from kolnet.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from kolnet.learning import l2_error, noise_floor
+from kolnet.nets import ClippedNetwork, evaluate
+from kolnet.sde import load_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 PUT_D1 = str(PROBLEMS / "put_d1_gbm.txt")
@@ -117,8 +120,15 @@ payoff: put 1.0 1.0
         (EULER_D1.format(a="0.0").replace("steps: 16", "steps: 0"), ": steps must be >= 1"),
         (GBM_D1.replace("payoff: put 1.0 1.0", "payoff_file:"), ":8: 'payoff_file' needs a file name"),
         (GBM_D1.replace("steps: 16", "steps: inf"), ":6: 'steps' holds a value that is not finite"),
+        (EULER_D1.format(a="0.0").replace("steps: 16", "steps: 1e9"),
+         ":6: 'steps' must be an integer of at most 1048576"),
+        (EULER_D1.format(a="0.0").replace("steps: 16", "steps: 1e300"),
+         ":6: 'steps' must be an integer of at most 1048576"),
+        (EULER_D1.format(a="0.0").replace("steps: 16", "steps: 64.7"),
+         ":6: 'steps' must be an integer of at most 1048576"),
     ],
-    ids=["no_dynamics", "payoff_without_cap", "zero_steps", "empty_payoff_file", "infinite_steps"],
+    ids=["no_dynamics", "payoff_without_cap", "zero_steps", "empty_payoff_file", "infinite_steps",
+         "huge_steps", "overflowing_steps", "fractional_steps"],
 )
 def test_simulate_bad_problem_file_is_usage_error(tmp_path, capsys, text, message):
     problem = tmp_path / "p.txt"
@@ -215,6 +225,64 @@ def test_build_then_evaluate(tmp_path, capsys):
     assert lines[1] == "l2_error,noise_floor,reference,grid"
     err = float(lines[2].split(",")[0])
     assert err < 1e-2  # n=64 Monte-Carlo width is already accurate
+
+
+def test_evaluate_reloaded_build_matches_in_memory_network(tmp_path):
+    # The file reloads as the in-memory block stacks, so the l2_error that
+    # evaluate reports is the in-memory network's, bit for bit.
+    basket = str(PROBLEMS / "basket_put_d5.txt")
+    grid, paths, seed = 8, 400, 3
+    code = run([
+        "build", basket, "--n", "128", "--retries", "2", "--seed", "2",
+        "--out-dir", str(tmp_path), "--grid", "8", "--paths", "400",
+    ])  # the same BuildSpec as below
+    assert code == EXIT_OK
+    code = run([
+        "evaluate", basket, str(tmp_path / "built_network.txt"), "--seed", str(seed),
+        "--out-dir", str(tmp_path), "--grid", str(grid), "--paths", str(paths),
+    ])
+    assert code == EXIT_OK
+    problem = load_problem(basket)
+    built, _ = constructive.build_mc_network(problem, constructive.BuildSpec(
+        n=128, payoff=problem.payoff, retries=2, grid_size=8, ref_paths=400, seed=2,
+    ))
+    assert [W.ndim for W, _ in built.layers] == [2, 3, 2]
+    points = cli._grid_points(problem, grid, seed)
+    reference, kind = cli._reference(problem, points, paths, rng.child_seed(seed, 0xE7A1))
+    err = l2_error(ClippedNetwork(built, problem.clip_amplitude), reference)
+    row = (tmp_path / "evaluation.csv").read_text().splitlines()[2].split(",")
+    assert kind == "monte_carlo"
+    assert row[:3] == [f"{err:.17g}", f"{noise_floor(reference):.17g}", kind]
+
+
+# W1=-1, B1=1, W2=-1, B2=0.5, W3=1, B3=0: first layer and cap of the capped
+# put, but 0.3/0.5/0.5 at x = 0.8/1.0/1.2 where the put is 0.2/0/0.
+NOT_A_PUT = "arch: 1 1 1 1\nW1\n-1\nB1\n1\nW2\n-1\nB2\n0.5\nW3\n1\nB3\n0\n"
+PUT = "arch: 1 1 1 1\nW1\n-1\nB1\n1\nW2\n-1\nB2\n1\nW3\n-1\nB3\n1\n"
+
+
+@pytest.mark.parametrize(
+    "payoff, kind",
+    [(NOT_A_PUT, "monte_carlo"), (PUT, "closed_form"), (None, "closed_form")],
+    ids=["not_a_put_file", "put_file", "put_spec"],
+)
+def test_closed_form_reference_only_for_the_capped_put(tmp_path, payoff, kind):
+    problem = PUT_D1
+    if payoff is not None:
+        (tmp_path / "payoff.txt").write_text(payoff)
+        problem = tmp_path / "p.txt"
+        problem.write_text(GBM_D1.replace("payoff: put 1.0 1.0", "payoff_file: payoff.txt"))
+    if payoff == NOT_A_PUT:
+        values = evaluate(load_problem(problem).payoff, np.array([[0.8], [1.0], [1.2]]))[:, 0]
+        assert values == pytest.approx([0.3, 0.5, 0.5])
+    net = tmp_path / "net.txt"
+    net.write_text(PUT)
+    code = run([
+        "evaluate", str(problem), str(net), "--seed", "1", "--out-dir", str(tmp_path),
+        "--grid", "4", "--paths", "200",
+    ])
+    assert code == EXIT_OK
+    assert (tmp_path / "evaluation.csv").read_text().splitlines()[2].split(",")[2] == kind
 
 
 def test_build_violated_cap_is_numeric_failure(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolnet.nets import Parametrization, load_network, save_network
+from kolnet.nets import Parametrization, compose_average, load_network, save_network
 from kolnet.sde import problem_from_text
 
 PROBLEM = Path(__file__).resolve().parent.parent / "problems" / "put_d1_gbm.txt"
@@ -77,28 +77,38 @@ def test_problem_parser_parses_finite_or_names_file(slot, text):
     assert all_finite([co.A, co.b, *co.C, scalars, *layer_arrays(p.payoff)])
 
 
-def _small_network_lines():
-    rs = np.random.RandomState(0)
-    params = Parametrization(tuple(
-        (rs.randn(b, a), rs.randn(b)) for a, b in [(2, 3), (3, 1)]
-    ))
+def _network_lines(params: Parametrization):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "net.txt"
         save_network(params, path)
         return path.read_text().splitlines()
 
 
-NETWORK_LINES = _small_network_lines()
-NETWORK_SLOTS = value_slots(
-    NETWORK_LINES,
-    lambda line, j, token: token != "arch:" and not (token[0] in "WB" and token[1:].isdigit()),
-)
+def _network_slots(lines):
+    return value_slots(
+        lines,
+        lambda line, j, token: token != "arch:" and not (token[0] in "WB" and token[1:].isdigit()),
+    )
 
 
-@FUZZ
-@given(slot=st.sampled_from(NETWORK_SLOTS), text=VALUE_TEXT)
-def test_network_parser_parses_finite_or_names_file(slot, text):
-    lines = replace_token(NETWORK_LINES, slot, text)
+_RS = np.random.RandomState(0)
+NETWORK_LINES = _network_lines(Parametrization(tuple(
+    (_RS.randn(b, a), _RS.randn(b)) for a, b in [(2, 3), (3, 1)]
+)))
+NETWORK_SLOTS = _network_slots(NETWORK_LINES)
+
+# An averaged composition of eta (2,3,2,1) with 3 maps: its middle layer is
+# read as a block stack, and its slots include the off-block "0" tokens, so
+# a drawn nonzero there makes the reader fall back to a dense layer.
+BLOCK_LINES = _network_lines(compose_average(
+    Parametrization(tuple((_RS.randn(b, a), _RS.randn(b)) for a, b in [(2, 3), (3, 2), (2, 1)])),
+    _RS.randn(3, 2, 2),
+    _RS.randn(3, 2),
+))
+BLOCK_SLOTS = _network_slots(BLOCK_LINES)
+
+
+def _parse_network_or_name_file(lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "net.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -108,3 +118,15 @@ def test_network_parser_parses_finite_or_names_file(slot, text):
             assert str(exc).startswith(str(path)), str(exc)
             return
     assert all_finite(layer_arrays(params))
+
+
+@FUZZ
+@given(slot=st.sampled_from(NETWORK_SLOTS), text=VALUE_TEXT)
+def test_network_parser_parses_finite_or_names_file(slot, text):
+    _parse_network_or_name_file(replace_token(NETWORK_LINES, slot, text))
+
+
+@FUZZ
+@given(slot=st.sampled_from(BLOCK_SLOTS), text=VALUE_TEXT)
+def test_block_network_parser_parses_finite_or_names_file(slot, text):
+    _parse_network_or_name_file(replace_token(BLOCK_LINES, slot, text))

@@ -1,5 +1,6 @@
 """Tests for the network data model and the explicit constructions."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -539,9 +540,77 @@ def test_save_special_values_match_dense_oracle(tmp_path):
     assert text == oracle_text(p)
     assert "\n0 -0 4.9406564584124654e-324 1.0000000000000001e+300 0.10000000000000001 -0\n" in text
     q = load_network(path)
-    for (Wq, Bq), (Wd, Bd) in zip(q.layers, dense_layers(p)):
+    for (Wq, Bq), (Wd, Bd) in zip(dense_layers(q), dense_layers(p)):
         assert np.array_equal(Wq, Wd) and np.array_equal(np.signbit(Wq), np.signbit(Wd))
         assert np.array_equal(Bq, Bd) and np.array_equal(np.signbit(Bq), np.signbit(Bd))
+
+
+def test_save_composition_memory_is_a_small_share_of_the_file(tmp_path):
+    # The dense middle layer is 4096 x 4096 tokens (about 34 MB of text);
+    # the writer holds one row and the formatted blocks, not the file.
+    rs = np.random.RandomState(41)
+    n, d = 4096, 5
+    theta = compose_average(
+        put_payoff_network(np.full(d, 0.2), 1.0), 1.0 + 0.1 * rs.randn(n, d, d), 0.1 * rs.randn(n, d)
+    )
+    path = tmp_path / "net.txt"
+    tracemalloc.start()
+    try:
+        save_network(theta, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 32e6
+    assert peak < 0.1 * size, (peak, size)
+
+
+@pytest.mark.parametrize("eta_case", ["put", "random_3_4_5_3_1"])
+def test_load_returns_the_block_stacks_of_a_composition(tmp_path, eta_case):
+    rs = np.random.RandomState(42)
+    if eta_case == "put":
+        eta = put_payoff_network(rs.uniform(0.1, 1.0, size=3), 1.0)
+    else:
+        eta = random_params((3, 4, 5, 3, 1), seed=43)
+    theta = compose_average(eta, *random_maps(rs, 16, 3))
+    path = tmp_path / "net.txt"
+    save_network(theta, path)
+    q = load_network(path)
+    assert [W.shape for W, _ in q.layers] == [W.shape for W, _ in theta.layers]
+    for (Wq, Bq), (Wp, Bp) in zip(q.layers, theta.layers):
+        assert np.array_equal(Wq, Wp) and np.array_equal(Bq, Bp)
+    X = rs.uniform(-2, 2, size=(300, 3))
+    assert np.array_equal(evaluate(q, X), evaluate(theta, X))
+
+
+def test_load_keeps_a_trained_shape_network_dense(tmp_path):
+    p = random_params((5, 64, 64, 1), seed=44)
+    path = tmp_path / "net.txt"
+    save_network(p, path)
+    q = load_network(path)
+    for (Wq, Bq), (Wp, Bp) in zip(q.layers, p.layers):
+        assert Wq.ndim == 2
+        assert np.array_equal(Wq, Wp) and np.array_equal(Bq, Bp)
+
+
+def test_load_reads_off_block_entries_densely(tmp_path):
+    # A nonzero or a "-0" outside the diagonal blocks makes the layer dense;
+    # any other spelling of zero there counts as an entry too.
+    rs = np.random.RandomState(45)
+    theta = compose_average(random_params((2, 2, 2, 1), seed=46), *random_maps(rs, 3, 2))
+    path = tmp_path / "net.txt"
+    save_network(theta, path)
+    lines = path.read_text().splitlines()
+    at = lines.index("W2") + 1
+    for token, want in [("0", 3), ("1.5", 2), ("-0", 2), ("0.0", 2)]:
+        row = lines[at].split()
+        row[-1] = token
+        path.write_text("\n".join(lines[:at] + [" ".join(row)] + lines[at + 1 :]) + "\n")
+        W = load_network(path).layers[1][0]
+        assert W.ndim == want
+        dense = dense_layers(theta)[1][0].copy()
+        dense[0, -1] = float(token)
+        assert np.array_equal(dense_layers(load_network(path))[1][0], dense)
 
 
 def test_block_layers_evaluate_like_dense_expansion():

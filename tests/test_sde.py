@@ -523,6 +523,10 @@ def test_problem_requires_positive_steps():
         (("gbm: 0.0 0.2", "gbm: nan 0.2"), "t.txt:9: 'gbm' holds a value that is not finite"),
         (("put 1.0 1.0", "put 1.0 inf"), "t.txt:10: 'payoff' holds a value that is not finite"),
         (("put 1.0 1.0", "put 1.0 -1.0"), "t.txt:10: cap D must be positive"),
+        (("steps: 128", "steps: 64.7"), "t.txt:8: 'steps' must be an integer of at most 1048576"),
+        (("steps: 128", "steps: 1e9"), "t.txt:8: 'steps' must be an integer of at most 1048576"),
+        (("steps: 128", "steps: 1e300"), "t.txt:8: 'steps' must be an integer of at most 1048576"),
+        (("steps: 128", "steps: 1048577"), "t.txt:8: 'steps' must be an integer of at most 1048576"),
     ],
 )
 def test_problem_text_errors_name_file_and_line(edit, message):
@@ -531,6 +535,11 @@ def test_problem_text_errors_name_file_and_line(edit, message):
     with pytest.raises(ValueError) as exc:
         problem_from_text(text, source="t.txt")
     assert str(exc.value) == message
+
+
+def test_problem_text_steps_cap_is_inclusive():
+    assert problem_from_text(PROBLEM_TEXT.replace("steps: 128", "steps: 1048576")).steps == 1 << 20
+    assert problem_from_text(PROBLEM_TEXT.replace("steps: 128", "steps: 64.0")).steps == 64
 
 
 def test_problem_text_matrix_rows_checked():
