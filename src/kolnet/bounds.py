@@ -224,7 +224,7 @@ def kolmogorov_certificate(
     eps: float,
     rho: float,
     fam: ApproximationFamily,
-    payoff_arch_of_delta,
+    b_arch: Architecture,
     C: float,
     D: float = 1.0,
     u: float = 0.0,
@@ -232,11 +232,10 @@ def kolmogorov_certificate(
 ) -> Certificate:
     """Assemble the size/sample certificate for a d-dimensional problem.
 
-    ``payoff_arch_of_delta`` maps an accuracy delta to (Architecture b,
-    payoff parameter max-norm).  The scale constant C is user-supplied (the
-    underlying results only assert its existence); exponents in d and 1/eps
-    are recorded separately in the provenance so scaling audits are
-    constant-free.  The companion accuracy is delta = (4C)^-1 d^(-tau/2)
+    ``b_arch`` is the architecture b of the payoff network.  The scale
+    constant C is user-supplied (the underlying results only assert its
+    existence); exponents in d and 1/eps are recorded separately in the
+    provenance so scaling audits are constant-free.  The companion accuracy is delta = (4C)^-1 d^(-tau/2)
     eps^(1/2).
     """
     if C is None or C <= 0:
@@ -249,7 +248,6 @@ def kolmogorov_certificate(
         raise ValueError("d must be a positive integer")
     tau = fam.tau
     delta = min(1.0 - 1e-12, (1.0 / (4.0 * C)) * d ** (-tau / 2.0) * eps**0.5)
-    b_arch, _eta_norm = payoff_arch_of_delta(delta)
     p_exp_d = tau * (fam.lmbda / 2.0 + 2.0) + fam.gamma
     p_exp_e = fam.lmbda / 2.0 + 2.0
     r_exp_d = tau * (fam.kappa / 2.0 + 1.0) + fam.beta + 1.5

@@ -87,7 +87,7 @@ def _grid_points(problem: KolmogorovProblem, size: int, seed: int) -> np.ndarray
 
 
 def _closed_form_reference(problem: KolmogorovProblem, points: np.ndarray):
-    """Exact reference for the d=1 GBM capped put; None when not applicable.
+    """Exact values at the (k, 1) points for the d=1 GBM capped put; None when not applicable.
 
     The payoff counts as the capped put only when every layer equals that of
     ``put_payoff_network(c, cap)`` for the c and cap its first layer holds.
@@ -108,16 +108,20 @@ def _closed_form_reference(problem: KolmogorovProblem, points: np.ndarray):
         return None
     mu = float(problem.coeffs.A[0, 0])
     sig = float(problem.coeffs.C[1][0, 0])
-    vals = lognormal_capped_put(points[:, 0], c, cap, mu, sig, problem.horizon)
-    return [(points[i], float(vals[i]), 0.0) for i in range(points.shape[0])]
+    return lognormal_capped_put(points[:, 0], c, cap, mu, sig, problem.horizon)
 
 
-def _reference(problem, points, n_paths, seed):
-    closed = _closed_form_reference(problem, points)
-    if closed is not None:
-        return closed, "closed_form"
-    ref = mc_reference_grid(problem, list(points), n_paths, seed)
-    return [(points[i], ref[i][0], ref[i][1]) for i in range(len(ref))], "monte_carlo"
+def _score(problem: KolmogorovProblem, net: ClippedNetwork, args):
+    """(l2_error, noise_floor, reference kind) of ``net`` on the evaluation grid:
+    against the closed form where it applies, else ``args.paths`` paths per point."""
+    points = _grid_points(problem, args.grid, args.seed)
+    values = _closed_form_reference(problem, points)
+    if values is not None:
+        return l2_error(net, points, values), 0.0, "closed_form"
+    values, std_errors = mc_reference_grid(
+        problem, points, args.paths, rng.child_seed(args.seed, 0xE7A1)
+    )
+    return l2_error(net, points, values), noise_floor(std_errors), "monte_carlo"
 
 
 def cmd_certify(args) -> int:
@@ -134,12 +138,8 @@ def cmd_certify(args) -> int:
             c=args.c, nu=args.nu, alpha=args.alpha, beta=args.beta,
             gamma=args.gamma, kappa=args.kappa, lmbda=args.lmbda,
         )
-
-    def arch_of_delta(delta):
-        return Architecture((args.d, 1, 1, 1)), args.D
-
     cert = kolmogorov_certificate(
-        args.d, args.eps, args.rho, fam, arch_of_delta, C=args.C, D=args.D
+        args.d, args.eps, args.rho, fam, Architecture((args.d, 1, 1, 1)), C=args.C, D=args.D
     )
     rows = [(q, v, f'"{formula}"') for q, v, formula in cert.rows()]
     out = Path(args.out_dir) / "certificate.csv"
@@ -156,10 +156,10 @@ def cmd_certify(args) -> int:
 def cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
     points = _grid_points(problem, args.grid, args.seed)
-    ref = mc_reference_grid(problem, list(points), args.paths, args.seed)
+    estimates, std_errors = mc_reference_grid(problem, points, args.paths, args.seed)
     rows = [
-        tuple(f"{x:.17g}" for x in points[i]) + (f"{ref[i][0]:.17g}", f"{ref[i][1]:.17g}")
-        for i in range(len(ref))
+        tuple(f"{x:.17g}" for x in row) + (f"{est:.17g}", f"{se:.17g}")
+        for row, est, se in zip(points, estimates, std_errors)
     ]
     header = ",".join(f"x_{i + 1}" for i in range(problem.dim)) + ",estimate,std_error"
     out = Path(args.out_dir) / "reference.csv"
@@ -200,22 +200,15 @@ def _run_pipeline(problem, args, out_dir: Path, comment: str):
     config = TrainConfig(
         architecture=arch,
         clip_amplitude=problem.clip_amplitude,
-        parameter_bound=args.R,
+        parameter_bound=args.R if args.project else None,
         batch_size=args.batch,
         step_size=args.lr,
         iterations=args.iters,
         eval_every=args.eval_every,
         seed=rng.child_seed(args.seed, 0x7124),
-        project=args.R is not None and args.project,
     )
     fit = train_erm(data, config)
-    points = _grid_points(problem, args.grid, args.seed)
-    reference, ref_kind = _reference(
-        problem, points, args.paths, rng.child_seed(args.seed, 0xE7A1)
-    )
-    net = ClippedNetwork(fit.trained, problem.clip_amplitude)
-    err = l2_error(net, reference)
-    floor = noise_floor(reference)
+    err, floor, ref_kind = _score(problem, fit.network, args)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_network(fit.trained, out_dir / "trained_network.txt")
     fit.save_trace(out_dir / "trace.csv")
@@ -254,14 +247,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     problem = load_problem(args.problem)
-    params = load_network(args.network)
-    net = ClippedNetwork(params, problem.clip_amplitude)
-    points = _grid_points(problem, args.grid, args.seed)
-    reference, ref_kind = _reference(
-        problem, points, args.paths, rng.child_seed(args.seed, 0xE7A1)
-    )
-    err = l2_error(net, reference)
-    floor = noise_floor(reference)
+    net = ClippedNetwork(load_network(args.network), problem.clip_amplitude)
+    err, floor, ref_kind = _score(problem, net, args)
     out = Path(args.out_dir) / "evaluation.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -292,7 +279,6 @@ def cmd_scaling_study(args) -> int:
             clip_amplitude=args.D,
             u=args.u,
             v=args.v,
-            gbm_flag=True,
         )
         m = int(args.m_base * d**2)
         sub = argparse.Namespace(

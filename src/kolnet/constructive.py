@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .nets import Parametrization, compose_average, evaluate
+from .learning import l2_error
+from .nets import ClippedNetwork, Parametrization, compose_average
 from .sde import KolmogorovProblem, extract_affine_batch, mc_reference_grid
 
 __all__ = ["BuildSpec", "BuildReport", "BoundsReport", "build_mc_network", "verify_construction_bounds"]
@@ -134,12 +135,9 @@ def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
     grid_key = rng.stream_key(rng.child_seeds(spec.seed, 0xD1CE))
     U = rng.uniforms(grid_key, np.arange(spec.grid_size * d)).reshape(spec.grid_size, d)
     grid = problem.u + (problem.v - problem.u) * U
-    reference = mc_reference_grid(
-        problem, list(grid), spec.ref_paths, rng.child_seed(spec.seed, 0xEF)
-    )
-    ref_vals = np.array([est for est, _ in reference])
+    ref_seed = rng.child_seed(spec.seed, 0xEF)
+    ref_vals, _ = mc_reference_grid(problem, grid, spec.ref_paths, ref_seed)
 
-    D = problem.clip_amplitude
     best = None
     best_err = np.inf
     best_maps = None
@@ -148,8 +146,7 @@ def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
         map_seeds = rng.child_seeds(rng.child_seed(spec.seed, retry + 1), np.arange(spec.n))
         M, N = extract_affine_batch(problem, map_seeds)
         candidate = compose_average(spec.payoff, M, N)
-        pred = np.clip(evaluate(candidate, grid)[:, 0], -D, D)
-        err = float(np.mean((pred - ref_vals) ** 2))
+        err = l2_error(ClippedNetwork(candidate, problem.clip_amplitude), grid, ref_vals)
         errors.append(err)
         if err < best_err:
             best_err = err

@@ -63,32 +63,37 @@ def generate_dataset(problem: KolmogorovProblem, m: int, seed: int) -> Dataset:
     return Dataset(X, Y)
 
 
+def _squared_residuals(f: ClippedNetwork, points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(f(x_i) - y_i)^2 at each row x_i of ``points``; every squared error is formed here."""
+    if len(values) == 0:
+        raise ValueError("reference must be nonempty")
+    if len(values) != len(points):
+        raise ValueError(f"{len(points)} points but {len(values)} reference values")
+    return (f(points) - values) ** 2
+
+
 def empirical_risk(f: ClippedNetwork, data: Dataset) -> float:
     """Mean squared residual (1/m) sum (f(X_i) - Y_i)^2."""
     if f.params.architecture.input_width != data.d:
         raise ValueError("network input width does not match dataset dimension")
-    res = f(data.inputs) - data.labels
-    return float(np.mean(res**2))
+    return float(np.mean(_squared_residuals(f, data.inputs, data.labels)))
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     architecture: Architecture
     clip_amplitude: float
-    parameter_bound: float | None = None  # None = unconstrained
+    parameter_bound: float | None = None  # R: project into [-R, R]; None = unconstrained
     batch_size: int = 256
     step_size: float = 1e-3
     iterations: int = 100_000
     eval_every: int = 1000
     seed: int = 0
-    project: bool = False
     constant_only: bool = False  # train biases only (constant-function class probe)
 
     def __post_init__(self):
         if self.architecture.output_width != 1:
             raise ValueError("training requires output width 1")
-        if self.project and self.parameter_bound is None:
-            raise ValueError("projection requires a parameter bound R")
 
 
 @dataclass
@@ -173,8 +178,8 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
 
     Deterministic given the config seed.  The returned network is the
     best full-data-risk parameter vector seen along the trajectory
-    (evaluated every ``eval_every`` steps and at the end), so extending the
-    iteration budget can never worsen the reported risk.
+    (evaluated every ``eval_every`` steps and at the end), and ``final_risk``
+    is its risk, so extending the iteration budget can never worsen it.
 
     Parameters, gradients and both Adam moments are flat buffers (weights
     first, then biases) with per-layer views, so an Adam step is one
@@ -226,7 +231,7 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
         m1 = beta1 * m1 + (1 - beta1) * g
         m2 = beta2 * m2 + (1 - beta2) * g**2
         p -= config.step_size * (m1 / corr1) / (np.sqrt(m2 / corr2) + eps)
-        if config.project:
+        if R is not None:
             np.clip(theta, -R, R, out=theta)
         if it % config.eval_every == 0 or it == config.iterations:
             fr = full_risk()
@@ -235,34 +240,27 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
                 best_risk = fr
                 best = theta.copy()
     trained = Parametrization(tuple(zip(*_layer_views(best, arch.widths))))
-    final = empirical_risk(ClippedNetwork(trained, D), data)
     return FitReport(
-        final_risk=final,
+        final_risk=best_risk,
         trace=trace,
         trained=trained,
         clip_amplitude=D,
     )
 
 
-def l2_error(f: ClippedNetwork, reference) -> float:
-    """Mean over reference points of (f(x) - value)^2.
+def l2_error(f: ClippedNetwork, points: np.ndarray, values: np.ndarray) -> float:
+    """Mean over the rows x_i of a (k, d) array of (f(x_i) - values[i])^2.
 
-    ``reference`` is a sequence of (point, value, std_error).  The Monte
-    Carlo noise floor of the reference itself is mean(std_error^2); see
-    ``noise_floor``.
+    ``values`` is a (k,) reference, such as the estimates of
+    ``sde.mc_reference_grid``; the Monte-Carlo noise floor of such a
+    reference is ``noise_floor`` of its standard errors.
     """
-    ref = list(reference)
-    if not ref:
-        raise ValueError("reference must be nonempty")
-    X = np.vstack([np.atleast_1d(np.asarray(p, dtype=np.float64)) for p, _, _ in ref])
-    vals = np.array([v for _, v, _ in ref])
-    return float(np.mean((f(X) - vals) ** 2))
+    return float(np.mean(_squared_residuals(f, points, values)))
 
 
-def noise_floor(reference) -> float:
-    """Mean squared standard error of the reference values."""
-    ses = np.array([se for _, _, se in reference])
-    return float(np.mean(ses**2))
+def noise_floor(std_errors: np.ndarray) -> float:
+    """Mean squared standard error of a reference: mean(std_errors^2)."""
+    return float(np.mean(np.square(std_errors)))
 
 
 @dataclass(frozen=True)
@@ -295,27 +293,20 @@ def bias_variance_report(
     data = generate_dataset(problem, m, seed)
     holdout = generate_dataset(problem, holdout_m, rng.child_seed(seed, 0xBEEF))
     fit = train_erm(data, config)
-    f_hat = ClippedNetwork(fit.trained, config.clip_amplitude)
-    risk_hat = empirical_risk(f_hat, holdout)
+    f_hat = fit.network
+    res1 = _squared_residuals(f_hat, holdout.inputs, holdout.labels)
+    risk_hat = float(np.mean(res1))
 
-    best_class_risk = np.inf
+    best_class_risk = risk_hat
     for t in range(trials):
-        cfg_t = replace(config, seed=rng.child_seed(seed, 0xF17 + t))
-        fit_t = train_erm(data, cfg_t)
-        r = empirical_risk(ClippedNetwork(fit_t.trained, config.clip_amplitude), holdout)
-        best_class_risk = min(best_class_risk, r)
-    best_class_risk = min(best_class_risk, risk_hat)
+        fit_t = train_erm(data, replace(config, seed=rng.child_seed(seed, 0xF17 + t)))
+        best_class_risk = min(best_class_risk, empirical_risk(fit_t.network, holdout))
 
-    # Risk of the regression function on the held-out set.  Zero for a
-    # noiseless (zero diffusion) problem where labels are exact.
-    deterministic = all(np.all(Ci == 0) for Ci in problem.coeffs.C)
-    if deterministic:
-        risk_star = 0.0
-    else:
-        # Residual label variance estimated via per-point repeated sampling
-        # is out of scope here; callers use the deterministic case for the
-        # identity check.
-        risk_star = np.nan
+    # Risk of the regression function on the held-out set: zero for a noiseless
+    # (zero diffusion) problem, whose labels are exact.  Estimating the residual
+    # label variance otherwise is out of scope; the identity check uses the
+    # noiseless case.
+    risk_star = 0.0 if all(np.all(Ci == 0) for Ci in problem.coeffs.C) else np.nan
     generalization = risk_hat - best_class_risk
     approximation = best_class_risk - risk_star
 
@@ -324,9 +315,8 @@ def bias_variance_report(
     # total = generalization + approximation is a genuine statistical test
     # rather than an arithmetic tautology.
     holdout2 = generate_dataset(problem, holdout_m, rng.child_seed(seed, 0xD00D))
-    total = empirical_risk(f_hat, holdout2) - risk_star
-    res1 = (f_hat(holdout.inputs) - holdout.labels) ** 2
-    res2 = (f_hat(holdout2.inputs) - holdout2.labels) ** 2
+    res2 = _squared_residuals(f_hat, holdout2.inputs, holdout2.labels)
+    total = float(np.mean(res2)) - risk_star
     se1 = float(np.std(res1, ddof=1) / np.sqrt(holdout_m))
     se2 = float(np.std(res2, ddof=1) / np.sqrt(holdout_m))
     return BiasVarianceReport(

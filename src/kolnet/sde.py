@@ -10,7 +10,7 @@ value therefore has a pathwise representation S_T^x = M x + N that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +123,7 @@ class KolmogorovProblem:
     u: float
     v: float
     steps: int = 128
-    gbm_flag: bool = False
+    gbm_flag: bool = field(init=False)  # diagonal GBM coefficients: exact sampling
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -136,8 +136,7 @@ class KolmogorovProblem:
             raise ValueError("clip amplitude D must be >= 1")
         if self.payoff.architecture.input_width != self.dim:
             raise ValueError("payoff input width must equal problem dimension")
-        if self.gbm_flag and not self.coeffs.is_diagonal_gbm():
-            raise ValueError("gbm_flag set but coefficients are not diagonal GBM")
+        object.__setattr__(self, "gbm_flag", self.coeffs.is_diagonal_gbm())
 
     @property
     def dim(self) -> int:
@@ -247,12 +246,12 @@ def mc_feynman_kac(problem: KolmogorovProblem, x, n_paths: int, seed: int):
 
 
 def mc_reference_grid(problem: KolmogorovProblem, points, n_paths: int, seed: int):
-    """mc_feynman_kac at each point, with independent derived seeds."""
-    points = [np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in points]
-    return [
-        mc_feynman_kac(problem, p, n_paths, rng.child_seed(seed, i))
-        for i, p in enumerate(points)
-    ]
+    """Monte-Carlo reference at the rows of a (k, d) array: ``(estimates, std_errors)``,
+    two (k,) arrays, row i from mc_feynman_kac with seed child_seed(seed, i)."""
+    estimates, std_errors = np.empty(len(points)), np.empty(len(points))
+    for i, x in enumerate(points):
+        estimates[i], std_errors[i] = mc_feynman_kac(problem, x, n_paths, rng.child_seed(seed, i))
+    return estimates, std_errors
 
 
 def problem_from_text(text: str, base_dir=".", source="<problem>") -> KolmogorovProblem:
@@ -261,8 +260,8 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
     Keys: dim, u, v, T, D, steps, and either ``gbm: mu_rate sigma_rate`` or
     ``drift_matrix``/``drift_vector``/``diffusion<i>`` blocks (one row per
     continuation line).  Payoff: ``payoff: put c_1 ... c_d D`` or
-    ``payoff_file: path``; dim is at most 256 and steps an integer of at
-    most 2^20.  Malformed input, a non-finite number included, raises
+    ``payoff_file: path``; dim is at most 256 and steps an integer from 1
+    to 2^20.  Malformed input, a non-finite number included, raises
     ValueError naming ``source`` and the offending line, or the missing key.
     """
     entries = {}  # key -> (line number, text after the colon, continuation lines)
@@ -321,6 +320,8 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
         raise ValueError(f"{source}:{entries['dim'][0]}: 'dim' must be {bound}")
     u, v, T, D = scalar("u"), scalar("v"), scalar("T"), scalar("D")
     steps = scalar("steps", float, 128)
+    if steps < 1:
+        raise ValueError(f"{source}:{entries['steps'][0]}: 'steps' must be at least 1")
     if steps != int(steps) or steps > _MAX_FILE_STEPS:
         raise ValueError(
             f"{source}:{entries['steps'][0]}: 'steps' must be an integer of at most {_MAX_FILE_STEPS}"
@@ -329,13 +330,11 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
     if "gbm" in entries:
         vals = vector("gbm", (2, 2 * d))
         coeffs = gbm_coefficients(d, vals[: len(vals) // 2], vals[len(vals) // 2 :])
-        gbm_flag = True
     elif "drift_matrix" in entries:
         A = matrix("drift_matrix")
         b = np.array(vector("drift_vector", (d,)))
         C = [matrix(f"diffusion{i}") for i in range(d + 1)]
         coeffs = AffineCoefficients(A, b, tuple(C))
-        gbm_flag = coeffs.is_diagonal_gbm()
     else:
         raise ValueError(f"{source}: needs 'gbm' or 'drift_matrix'")
     if "payoff" in entries:
@@ -364,7 +363,6 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
             u=u,
             v=v,
             steps=steps,
-            gbm_flag=gbm_flag,
         )
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None

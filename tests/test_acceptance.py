@@ -83,7 +83,6 @@ def put_problem_1d(mu_rate=0.0, sigma_rate=0.2):
         clip_amplitude=1.0,
         u=0.5,
         v=1.5,
-        gbm_flag=True,
     )
 
 
@@ -95,12 +94,11 @@ def basket_problem(d, sigma_rate=0.2):
         clip_amplitude=1.0,
         u=0.5,
         v=1.5,
-        gbm_flag=True,
     )
 
 
 def closed_form_grid(problem, n_points, seed):
-    """(point, value, 0.0) triples from the independent closed form."""
+    """(points, values) from the independent closed form."""
     pts = problem.u + (problem.v - problem.u) * rng.uniforms(
         np.uint64(rng.child_seed(seed, 0x60D)), np.arange(n_points)
     ).reshape(n_points, 1)
@@ -109,16 +107,16 @@ def closed_form_grid(problem, n_points, seed):
     vals = capped_put_closed_form(
         pts[:, 0], 1.0, problem.clip_amplitude, mu, sig, problem.horizon
     )
-    return [(pts[i], float(vals[i]), 0.0) for i in range(n_points)]
+    return pts, vals
 
 
 def mc_grid(problem, n_points, n_paths, seed):
+    """(points, estimates, std_errors) of a seeded Monte-Carlo reference."""
     d = problem.dim
     pts = problem.u + (problem.v - problem.u) * rng.uniforms(
         np.uint64(rng.child_seed(seed, 0x6B1D)), np.arange(n_points * d)
     ).reshape(n_points, d)
-    pairs = mc_reference_grid(problem, list(pts), n_paths, rng.child_seed(seed, 0xFEED))
-    return [(pts[i], pairs[i][0], pairs[i][1]) for i in range(n_points)]
+    return (pts, *mc_reference_grid(problem, pts, n_paths, rng.child_seed(seed, 0xFEED)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,6 @@ def test_affine_representation_exactness():
                 clip_amplitude=1.0,
                 u=0.5,
                 v=1.5,
-                gbm_flag=True,
             ),
             KolmogorovProblem(
                 coeffs=_random_affine_coeffs(d, rs),
@@ -338,7 +335,7 @@ def test_constructive_builder_error_decreases():
                 ),
             )
             assert report.bounds.all_ok
-            errs.append(l2_error(ClippedNetwork(net, prob.clip_amplitude), reference))
+            errs.append(l2_error(ClippedNetwork(net, prob.clip_amplitude), *reference))
         medians.append(float(np.median(errs)))
     decreasing = medians[0] > medians[1] > medians[2]
     dt = time.perf_counter() - t0
@@ -367,7 +364,7 @@ def test_erm_one_dimensional():
         seed=0,
     )
     fit = train_erm(data, cfg)
-    err = l2_error(fit.network, closed_form_grid(prob, 256, seed=6))
+    err = l2_error(fit.network, *closed_form_grid(prob, 256, seed=6))
     dt = time.perf_counter() - t0
     _report(
         6,
@@ -381,8 +378,8 @@ def test_erm_five_dimensional_basket():
     t0 = time.perf_counter()
     prob = basket_problem(5)
     data = generate_dataset(prob, 100_000, seed=0)
-    reference = mc_grid(prob, 256, 100_000, seed=60)
-    floor = noise_floor(reference)
+    pts, est, se = mc_grid(prob, 256, 100_000, seed=60)
+    floor = noise_floor(se)
     cfg = TrainConfig(
         architecture=Architecture((5, 64, 64, 1)),
         clip_amplitude=1.0,
@@ -392,7 +389,7 @@ def test_erm_five_dimensional_basket():
         seed=0,
     )
     fit = train_erm(data, cfg)
-    err = l2_error(fit.network, reference)
+    err = l2_error(fit.network, pts, est)
     dt = time.perf_counter() - t0
     _report(
         6,
@@ -417,7 +414,7 @@ def test_scaling_across_dimension():
         m = m_base * d * d
         prob = basket_problem(d)
         data = generate_dataset(prob, m, seed=2026)
-        reference = mc_grid(prob, 128, 50_000, seed=700 + d)
+        pts, est, _ = mc_grid(prob, 128, 50_000, seed=700 + d)
         cfg = TrainConfig(
             architecture=Architecture((d, 32, 32, 1)),
             clip_amplitude=1.0,
@@ -427,7 +424,7 @@ def test_scaling_across_dimension():
             seed=2026,
         )
         fit = train_erm(data, cfg)
-        err = l2_error(fit.network, reference)
+        err = l2_error(fit.network, pts, est)
         all_hit = all_hit and err <= target
         details.append(f"d={d}: m={m}, L2={err:.1e}")
         results.append((d, m))

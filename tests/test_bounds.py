@@ -271,12 +271,12 @@ def test_family_validation():
 
 
 def put_arch_of_delta(d):
-    """Put payoff network data: architecture (d,1,1,1), max-norm from cap D=1.
+    """Put payoff architecture (d,1,1,1).
 
     The representation is exact, so the architecture does not depend on the
     requested accuracy delta.
     """
-    return lambda delta: (Architecture((d, 1, 1, 1)), 1.0)
+    return Architecture((d, 1, 1, 1))
 
 
 def test_certificate_put_family_exponents():

@@ -1,15 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import warnings
+from argparse import Namespace
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kolnet import cli, constructive, rng
+from kolnet import cli, constructive
 from kolnet.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from kolnet.learning import l2_error, noise_floor
 from kolnet.nets import ClippedNetwork, evaluate
 from kolnet.sde import load_problem
 
@@ -117,7 +117,7 @@ payoff: put 1.0 1.0
     [
         (GBM_D1.replace("gbm: 0.0 0.2\n", ""), ": needs 'gbm' or 'drift_matrix'"),
         (GBM_D1.replace("put 1.0 1.0", "put 1.0"), ":8: 'payoff' needs 2 values, got 1"),
-        (EULER_D1.format(a="0.0").replace("steps: 16", "steps: 0"), ": steps must be >= 1"),
+        (EULER_D1.format(a="0.0").replace("steps: 16", "steps: 0"), ":6: 'steps' must be at least 1"),
         (GBM_D1.replace("payoff: put 1.0 1.0", "payoff_file:"), ":8: 'payoff_file' needs a file name"),
         (GBM_D1.replace("steps: 16", "steps: inf"), ":6: 'steps' holds a value that is not finite"),
         (EULER_D1.format(a="0.0").replace("steps: 16", "steps: 1e9"),
@@ -247,12 +247,13 @@ def test_evaluate_reloaded_build_matches_in_memory_network(tmp_path):
         n=128, payoff=problem.payoff, retries=2, grid_size=8, ref_paths=400, seed=2,
     ))
     assert [W.ndim for W, _ in built.layers] == [2, 3, 2]
-    points = cli._grid_points(problem, grid, seed)
-    reference, kind = cli._reference(problem, points, paths, rng.child_seed(seed, 0xE7A1))
-    err = l2_error(ClippedNetwork(built, problem.clip_amplitude), reference)
+    err, floor, kind = cli._score(
+        problem, ClippedNetwork(built, problem.clip_amplitude),
+        Namespace(grid=grid, paths=paths, seed=seed),
+    )
     row = (tmp_path / "evaluation.csv").read_text().splitlines()[2].split(",")
     assert kind == "monte_carlo"
-    assert row[:3] == [f"{err:.17g}", f"{noise_floor(reference):.17g}", kind]
+    assert row[:3] == [f"{err:.17g}", f"{floor:.17g}", kind]
 
 
 # W1=-1, B1=1, W2=-1, B2=0.5, W3=1, B3=0: first layer and cap of the capped

@@ -34,7 +34,7 @@ def put_problem(d=1, mu=0.0, sigma=0.2, D=1.0, u=0.5, v=1.5):
     payoff = put_payoff_network(np.full(d, 1.0 / d), D)
     return KolmogorovProblem(
         coeffs=gbm_coefficients(d, mu, sigma), horizon=1.0, payoff=payoff,
-        clip_amplitude=D, u=u, v=v, gbm_flag=True,
+        clip_amplitude=D, u=u, v=v,
     )
 
 

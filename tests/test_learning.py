@@ -35,7 +35,7 @@ def put_problem(d=1, mu=0.0, sigma=0.2, T=1.0, D=1.0, u=0.5, v=1.5):
     payoff = put_payoff_network(np.full(d, 1.0 / d), D)
     return KolmogorovProblem(
         coeffs=gbm_coefficients(d, mu, sigma), horizon=T, payoff=payoff,
-        clip_amplitude=D, u=u, v=v, gbm_flag=True,
+        clip_amplitude=D, u=u, v=v,
     )
 
 
@@ -225,7 +225,7 @@ def test_train_projection_bounds_parameters():
     data = generate_dataset(prob, 1000, seed=15)
     cfg = TrainConfig(
         architecture=Architecture((1, 8, 1)), clip_amplitude=1.0,
-        parameter_bound=0.25, project=True, iterations=500, seed=9,
+        parameter_bound=0.25, iterations=500, seed=9,
     )
     report = train_erm(data, cfg)
     assert report.trained.max_norm() <= 0.25 + 1e-15
@@ -304,7 +304,7 @@ def _reference_train(data, cfg):
             mBs[l] = beta1 * mBs[l] + (1 - beta1) * gBs[l]
             vBs[l] = beta2 * vBs[l] + (1 - beta2) * gBs[l] ** 2
             Bs[l] -= cfg.step_size * (mBs[l] / corr1) / (np.sqrt(vBs[l] / corr2) + eps)
-            if cfg.project:
+            if cfg.parameter_bound is not None:
                 np.clip(Ws[l], -R, R, out=Ws[l])
                 np.clip(Bs[l], -R, R, out=Bs[l])
         if it % cfg.eval_every == 0 or it == cfg.iterations:
@@ -321,7 +321,7 @@ def _reference_train(data, cfg):
     [
         (600, dict(batch_size=64)),
         (100, dict(batch_size=256)),  # batch larger than the dataset
-        (600, dict(batch_size=64, parameter_bound=0.3, project=True)),
+        (600, dict(batch_size=64, parameter_bound=0.3)),
         (600, dict(batch_size=64, constant_only=True)),
     ],
     ids=["plain", "batch_gt_m", "projected", "constant_only"],
@@ -347,34 +347,34 @@ def test_train_erm_matches_per_layer_reference(m, extra):
 
 def test_l2_error_exact_match_zero():
     f = identity_clipped(D=3.0)
-    ref = [(np.array([x]), x, 0.0) for x in (0.1, 0.5, 0.9)]
-    assert l2_error(f, ref) == 0.0
+    xs = np.array([0.1, 0.5, 0.9])
+    assert l2_error(f, xs[:, None], xs) == 0.0
 
 
 def test_l2_error_constant_offset():
     p = Parametrization(((np.array([[0.0]]), np.array([0.0])),))
     f = ClippedNetwork(p, 2.0)
-    ref = [(np.array([x]), 1.0, 0.0) for x in (0.1, 0.5)]
-    assert l2_error(f, ref) == 1.0
+    assert l2_error(f, np.array([[0.1], [0.5]]), np.ones(2)) == 1.0
 
 
 def test_l2_error_matches_recomputation():
     f = identity_clipped(D=2.0)
     rs = np.random.RandomState(17)
-    ref = [(rs.uniform(0, 1, size=1), rs.uniform(0, 1), 0.01) for _ in range(50)]
-    got = l2_error(f, ref)
-    want = np.mean([(min(max(p[0], -2), 2) - val) ** 2 for p, val, _ in ref])
+    ref = [(rs.uniform(0, 1, size=1), rs.uniform(0, 1)) for _ in range(50)]
+    got = l2_error(f, np.array([p for p, _ in ref]), np.array([val for _, val in ref]))
+    want = np.mean([(min(max(p[0], -2), 2) - val) ** 2 for p, val in ref])
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_noise_floor():
-    ref = [(np.array([0.0]), 0.0, 0.1), (np.array([1.0]), 0.0, 0.3)]
-    assert noise_floor(ref) == pytest.approx((0.01 + 0.09) / 2)
+    assert noise_floor(np.array([0.1, 0.3])) == pytest.approx((0.01 + 0.09) / 2)
 
 
 def test_l2_error_rejects_empty():
     with pytest.raises(ValueError):
-        l2_error(identity_clipped(), [])
+        l2_error(identity_clipped(), np.empty((0, 1)), np.empty(0))
+    with pytest.raises(ValueError, match="3 points but 1 reference values"):
+        l2_error(identity_clipped(), np.zeros((3, 1)), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------

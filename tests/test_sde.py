@@ -52,7 +52,6 @@ def put_problem(d=1, mu=0.0, sigma=0.2, T=1.0, D=1.0, u=0.5, v=1.5, steps=128, c
         u=u,
         v=v,
         steps=steps,
-        gbm_flag=True,
     )
 
 
@@ -60,7 +59,7 @@ def generic_problem(coeffs, d, T=1.0, D=2.0, u=-1.0, v=1.0, steps=64):
     payoff = put_payoff_network(np.full(d, 1.0 / d), D)
     return KolmogorovProblem(
         coeffs=coeffs, horizon=T, payoff=payoff, clip_amplitude=D,
-        u=u, v=v, steps=steps, gbm_flag=False,
+        u=u, v=v, steps=steps,
     )
 
 
@@ -251,10 +250,15 @@ def test_extract_affine_batch_across_chunk_boundary():
 
 
 def exploding_problem(steps=64):
-    """d=1, no noise, dX = 1e10 X dt: a path from x0 overflows after about
-    (308 - log10|x0|) / 8.2 steps, and a path from 0 stays at 0."""
-    Z = np.zeros((1, 1))
-    coeffs = AffineCoefficients(np.array([[1e10]]), np.zeros(1), (Z, Z.copy()))
+    """d=1, dX = 1e10 X dt + 1e-300 dB: a path from x0 overflows after about
+    (308 - log10|x0|) / 8.2 steps, and a path from 0, driven only by the
+    1e-300 noise, stays finite for about 75 steps, more than the 64 it takes.
+
+    The 1e-300 of C_0 keeps the coefficients off diagonal GBM, so the
+    problem takes the Euler path; it moves no path's overflow step."""
+    coeffs = AffineCoefficients(
+        np.array([[1e10]]), np.zeros(1), (np.array([[1e-300]]), np.zeros((1, 1)))
+    )
     return generic_problem(coeffs, d=1, steps=steps)
 
 
@@ -401,19 +405,18 @@ def test_mc_reproducible():
 
 def test_mc_reference_grid_empty_and_singleton():
     prob = put_problem()
-    assert mc_reference_grid(prob, [], 100, seed=0) == []
-    pts = [np.array([1.1])]
-    grid = mc_reference_grid(prob, pts, 1000, seed=5)
-    assert len(grid) == 1
-    est, se = grid[0]
-    assert abs(est) <= 1.0 and se > 0
+    est, se = mc_reference_grid(prob, np.empty((0, 1)), 100, seed=0)
+    assert est.shape == se.shape == (0,)
+    pts = np.array([[1.1]])
+    est, se = mc_reference_grid(prob, pts, 1000, seed=5)
+    assert est.shape == se.shape == (1,)
+    assert abs(est[0]) <= 1.0 and se[0] > 0
 
 
 def test_mc_reference_grid_matches_closed_form():
     prob = put_problem(mu=0.0, sigma=0.2)
-    pts = [np.array([x]) for x in np.linspace(0.6, 1.4, 16)]
-    grid = mc_reference_grid(prob, pts, 20000, seed=100)
-    for (est, se), p in zip(grid, pts):
+    pts = np.linspace(0.6, 1.4, 16)[:, None]
+    for est, se, p in zip(*mc_reference_grid(prob, pts, 20000, seed=100), pts):
         want = lognormal_capped_put(p[0], 1.0, 1.0, 0.0, 0.2, 1.0)
         assert abs(est - want) <= 4 * se
 
@@ -504,7 +507,7 @@ def test_problem_requires_positive_steps():
     [
         (("gbm: 0.0 0.2\n", ""), "t.txt: needs 'gbm' or 'drift_matrix'"),
         (("payoff: put 1.0 1.0", "payoff: put 1.0"), "t.txt:10: 'payoff' needs 2 values, got 1"),
-        (("steps: 128", "steps: 0"), "t.txt: steps must be >= 1"),
+        (("steps: 128", "steps: 0"), "t.txt:8: 'steps' must be at least 1"),
         (("u: 0.5", "u: half"), "t.txt:4: 'u' holds a value that is not a number"),
         (("dim: 1", "dim: 0"), "t.txt:3: 'dim' must be at least 1"),
         (("T: 1.0\n", ""), "t.txt: missing key 'T'"),
