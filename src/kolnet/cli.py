@@ -55,16 +55,24 @@ class UsageError(ValueError):
     pass
 
 
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _config_hash(args: argparse.Namespace) -> str:
     # The output directory is where results land, not what the experiment is;
     # leaving it out makes reruns into different directories byte-identical.
-    blob = repr(
-        sorted(
-            (k, str(v))
-            for k, v in vars(args).items()
-            if k not in ("func", "out_dir")
-        )
-    )
+    # A network file counts by its bytes, so copies of it hash alike.  The
+    # problem file still counts by its path: the artifact digests recorded in
+    # bench/digests.json pin the hashes written from it.
+    config = {k: str(v) for k, v in vars(args).items() if k not in ("func", "out_dir")}
+    if "network" in config:
+        config["network"] = _file_sha256(args.network)
+    blob = repr(sorted(config.items()))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 

@@ -10,6 +10,9 @@ value therefore has a pathwise representation S_T^x = M x + N that
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,6 +150,43 @@ class KolmogorovProblem:
         return ClippedNetwork(self.payoff, self.clip_amplitude)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; taskset and cgroup cpusets narrow it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+_pool = None  # ((pid, workers), ThreadPoolExecutor) of the last pooled Euler call
+
+
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """The Euler thread pool, created on first use.  It is keyed on the pid:
+    a forked child inherits the executor but not its threads, so it builds
+    its own instead of queueing work that nothing would run.  A replaced
+    executor's idle threads exit once it is garbage collected."""
+    global _pool
+    key = (os.getpid(), workers)
+    if _pool is None or _pool[0] != key:
+        _pool = (key, ThreadPoolExecutor(workers, thread_name_prefix="kolnet-euler"))
+    return _pool[1]
+
+
+def _euler_chunks(n: int, workers: int) -> list:
+    """(lo, hi) path ranges: a multiple of ``workers`` chunks of at most
+    _EULER_CHUNK paths whose sizes differ by at most one.
+
+    No chunk holds a single path unless n is 1, so below 2 * workers paths
+    there are fewer chunks: numpy multiplies by a one-column state with
+    gemv, whose last bits differ from gemm's.
+    """
+    count = workers * max(1, -(-n // (workers * _EULER_CHUNK)))
+    count = min(count, max(1, n // 2))
+    edges = [n * i // count for i in range(count + 1)]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     """Terminal values S_T for a batch of paths; path i starts at X0[i] on stream keys[i].
@@ -155,8 +195,11 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     log-normal draws for diagonal GBM, Euler-Maruyama with ``problem.steps``
     steps otherwise.  Step k of path i draws its d normals at counters
     (keys[i], k*d + j), so a path's value does not depend on the batch it
-    is in.  Overflow raises no numpy warning: the isfinite checks turn it
-    into SimulationError.
+    is in, unless the batch is that path alone (see _euler_chunks).  Euler
+    chunks of paths run on one thread per usable CPU; since a path's bits
+    do not depend on its chunk, neither does the result.
+    Overflow raises no numpy warning: the isfinite checks turn it into
+    SimulationError, at the earliest non-finite step over all paths.
     """
     co = problem.coeffs
     d, T = problem.dim, problem.horizon
@@ -182,11 +225,19 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     C = np.vstack(co.C)  # ((d+1)*d, d): all diffusion products in one matmul
     b = co.b[:, None]
     out = np.empty((n, d))
-    bad_step = steps  # earliest non-finite step over all chunks so far
-    for lo in range(0, n, _EULER_CHUNK):
-        hi = min(lo + _EULER_CHUNK, n)
+    earliest = [steps]  # earliest non-finite step any chunk has recorded
+    lock = threading.Lock()
+
+    # errstate is thread-local: pool threads need their own.
+    @np.errstate(over="ignore", invalid="ignore")
+    def chunk(bounds):
+        """Run paths lo:hi into out[lo:hi], stopping at their first non-finite
+        step or at an earlier one another chunk already recorded."""
+        lo, hi = bounds
         X = np.array(X0[lo:hi].T, dtype=np.float64, order="C")
-        for k in range(bad_step):
+        for k in range(steps):
+            if k >= earliest[0]:
+                return
             dB = rng.gaussians(keys[None, lo:hi], k * d + coords)
             dB *= sqdt
             drift = co.A @ X
@@ -200,9 +251,16 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
             X += drift
             X += diff
             if not np.all(np.isfinite(X)):
-                bad_step = k
-                break
+                with lock:
+                    earliest[0] = min(earliest[0], k)
+                return
         out[lo:hi] = X.T
+
+    workers = _usable_cpus()
+    chunks = _euler_chunks(n, workers)
+    run = _executor(workers).map if len(chunks) > 1 else map
+    list(run(chunk, chunks))  # reading every result re-raises a chunk's exception
+    bad_step = earliest[0]
     if bad_step < steps:
         raise SimulationError(bad_step, f"non-finite state at Euler step {bad_step}")
     return out

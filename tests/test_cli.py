@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kolnet import cli, constructive
+from kolnet import cli, constructive, sde
 from kolnet.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from kolnet.nets import ClippedNetwork, evaluate
 from kolnet.sde import load_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 PUT_D1 = str(PROBLEMS / "put_d1_gbm.txt")
+EULER_BASKET_D5 = PROBLEMS.parent / "bench" / "problems" / "euler_basket_d5.txt"
 
 
 def run(argv):
@@ -198,6 +199,16 @@ def test_simulate_reproducible(tmp_path):
     assert (a_dir / "reference.csv").read_bytes() == (b_dir / "reference.csv").read_bytes()
 
 
+def test_simulate_euler_same_bytes_at_one_and_two_workers(tmp_path, monkeypatch):
+    # At 2 workers the 3,000 paths of each point run as two pooled chunks.
+    argv = ["simulate", str(EULER_BASKET_D5), "--seed", "4", "--grid", "3", "--paths", "3000"]
+    for workers in (1, 2):
+        monkeypatch.setattr(sde, "_usable_cpus", lambda w=workers: w)
+        assert run(argv + ["--out-dir", str(tmp_path / str(workers))]) == EXIT_OK
+    one, two = ((tmp_path / w / "reference.csv").read_bytes() for w in ("1", "2"))
+    assert one == two
+
+
 # ---------------------------------------------------------------------------
 # build + evaluate
 
@@ -345,6 +356,24 @@ def test_train_reruns_byte_identical(tmp_path, capsys):
     assert "wall_clock_s" not in (a_dir / "summary.csv").read_text()
     for name in ("summary.csv", "trace.csv", "trained_network.txt"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
+
+
+def test_evaluate_hashes_network_bytes_not_path(tmp_path, capsys):
+    assert run([
+        "train", PUT_D1, "--m", "2000", "--arch", "1,8,1", "--iters", "200",
+        "--eval-every", "100", "--seed", "6", "--out-dir", str(tmp_path),
+        "--grid", "16", "--paths", "500",
+    ]) == EXIT_OK
+    network = (tmp_path / "trained_network.txt").read_bytes()
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "trained_network.txt").write_bytes(network)
+        assert run([
+            "evaluate", PUT_D1, str(tmp_path / name / "trained_network.txt"), "--seed", "3",
+            "--out-dir", str(tmp_path / name), "--grid", "16", "--paths", "500",
+        ]) == EXIT_OK
+    a, b = ((tmp_path / name / "evaluation.csv").read_bytes() for name in ("a", "b"))
+    assert a == b
 
 
 def test_train_missing_args_usage_error(tmp_path):

@@ -1,6 +1,10 @@
 """Tests for affine SDE simulation, affine terminal representation, and the
 Monte-Carlo expectation oracle."""
 
+import multiprocessing
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -223,11 +227,22 @@ def path_major_euler(problem, X0, keys):
     return X
 
 
-def test_euler_kernel_bit_identical_to_path_major_loop():
+@pytest.fixture
+def workers(request, monkeypatch):
+    """Run the Euler kernel as on a machine with ``request.param`` usable CPUs."""
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+# n = 1 takes a one-path chunk, 3 and 5 at most two chunks of at least two
+# paths, 4097 split chunks of unequal size and 2 * 4096 + 123 three or more.
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("n", [1, 3, 5, sde._EULER_CHUNK, sde._EULER_CHUNK + 1,
+                               2 * sde._EULER_CHUNK + 123])
+def test_euler_kernel_bit_identical_to_path_major_loop(workers, n):
     d = 3
     prob = generic_problem(random_affine_coeffs(d, seed=4), d=d, steps=16)
     assert not prob.coeffs.is_diagonal_gbm()
-    n = 2 * sde._EULER_CHUNK + 123  # three chunks, the last one partial
     X0 = np.random.RandomState(5).uniform(-1, 1, size=(n, d))
     keys = rng.stream_key(rng.child_seeds(17, np.arange(n)))
     got = terminal_values(prob, X0, keys)
@@ -262,7 +277,8 @@ def exploding_problem(steps=64):
     return generic_problem(coeffs, d=1, steps=steps)
 
 
-def test_simulation_error_names_earliest_step_over_all_chunks():
+@pytest.mark.parametrize("workers", [1, 3], indirect=True)
+def test_simulation_error_names_earliest_step_over_all_chunks(workers):
     prob = exploding_problem()
     n = 2 * sde._EULER_CHUNK + 10
     X0 = np.zeros((n, 1))
@@ -279,6 +295,50 @@ def test_simulation_error_names_earliest_step_over_all_chunks():
     assert reference.value.step < first_chunk_only.value.step
     assert got.value.step == reference.value.step
     assert f"step {reference.value.step}" in str(got.value)
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_pooled_divergence_raises_no_runtime_warning(workers):
+    # np.errstate is thread-local, so the pool threads set their own.
+    n = 4 * sde._EULER_CHUNK
+    X0 = np.zeros((n, 1))
+    X0[-1] = 1e300
+    keys = rng.stream_key(rng.child_seeds(3, np.arange(n)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SimulationError):
+            terminal_values(exploding_problem(), X0, keys)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def _euler_in_child(prob, X0, keys, want):
+    if not np.array_equal(terminal_values(prob, X0, keys), want):
+        raise AssertionError("child result differs")
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_forked_child_builds_its_own_pool(workers):
+    # The child inherits the parent's executor but none of its threads.
+    prob = generic_problem(random_affine_coeffs(2, seed=8), d=2, steps=8)
+    n = 64
+    X0 = np.random.RandomState(9).uniform(-1, 1, size=(n, 2))
+    keys = rng.stream_key(rng.child_seeds(5, np.arange(n)))
+    want = terminal_values(prob, X0, keys)  # creates the pool in this process
+    # Occupy both pool threads at once, so that both exist: a child that
+    # reused the inherited executor would then never start a thread of its own.
+    both = threading.Barrier(2)
+    list(sde._executor(workers).map(lambda _: both.wait(timeout=30), range(2)))
+    child = multiprocessing.get_context("fork").Process(
+        target=_euler_in_child, args=(prob, X0, keys, want)
+    )
+    child.start()
+    child.join(timeout=60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive, "forked child hung on the inherited pool"
+    assert child.exitcode == 0
 
 
 # ---------------------------------------------------------------------------
