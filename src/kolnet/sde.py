@@ -158,18 +158,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool = None  # ((pid, workers), ThreadPoolExecutor) of the last pooled Euler call
+_pool = None  # ((pid, cpus), ThreadPoolExecutor) of the last pooled Euler call
 
 
-def _executor(workers: int) -> ThreadPoolExecutor:
-    """The Euler thread pool, created on first use.  It is keyed on the pid:
-    a forked child inherits the executor but not its threads, so it builds
-    its own instead of queueing work that nothing would run.  A replaced
-    executor's idle threads exit once it is garbage collected."""
+def _executor(cpus: int) -> ThreadPoolExecutor:
+    """The Euler thread pool of up to ``cpus`` threads, created on first use.
+
+    It starts a thread only when a submitted chunk finds none idle, so a
+    call of w chunks never runs more than w threads.  It is keyed on the
+    pid: a forked child inherits the executor but not its threads, so it
+    builds its own instead of queueing work that nothing would run.  A
+    replaced executor's idle threads exit once it is garbage collected."""
     global _pool
-    key = (os.getpid(), workers)
+    key = (os.getpid(), cpus)
     if _pool is None or _pool[0] != key:
-        _pool = (key, ThreadPoolExecutor(workers, thread_name_prefix="kolnet-euler"))
+        _pool = (key, ThreadPoolExecutor(cpus, thread_name_prefix="kolnet-euler"))
     return _pool[1]
 
 
@@ -196,8 +199,9 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     steps otherwise.  Step k of path i draws its d normals at counters
     (keys[i], k*d + j), so a path's value does not depend on the batch it
     is in, unless the batch is that path alone (see _euler_chunks).  Euler
-    chunks of paths run on one thread per usable CPU; since a path's bits
-    do not depend on its chunk, neither does the result.
+    chunks of paths run on one thread per usable CPU, at most one per
+    _EULER_CHUNK // 2 paths; since a path's bits do not depend on its
+    chunk, neither does the result.
     Overflow raises no numpy warning: the isfinite checks turn it into
     SimulationError, at the earliest non-finite step over all paths.
     """
@@ -256,9 +260,13 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
                 return
         out[lo:hi] = X.T
 
-    workers = _usable_cpus()
+    # One thread per usable CPU, but no more than one per _EULER_CHUNK // 2
+    # paths: every thread runs the Python loop of each step under the GIL and
+    # holds its own BLAS buffer, so a small batch gains nothing from more.
+    cpus = _usable_cpus()
+    workers = max(1, min(cpus, -(-n // (_EULER_CHUNK // 2))))
     chunks = _euler_chunks(n, workers)
-    run = _executor(workers).map if len(chunks) > 1 else map
+    run = _executor(cpus).map if workers > 1 else map
     list(run(chunk, chunks))  # reading every result re-raises a chunk's exception
     bad_step = earliest[0]
     if bad_step < steps:

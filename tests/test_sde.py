@@ -311,6 +311,37 @@ def test_pooled_divergence_raises_no_runtime_warning(workers):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_one_cpu_runs_every_chunk_inline(monkeypatch):
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(sde, "_pool", None)
+    d, n = 2, 2 * sde._EULER_CHUNK + 123  # three chunks
+    prob = generic_problem(random_affine_coeffs(d, seed=10), d=d, steps=4)
+    X0 = np.zeros((n, d))
+    keys = rng.stream_key(rng.child_seeds(6, np.arange(n)))
+    terminal_values(prob, X0, keys)
+    assert sde._pool is None
+
+
+@pytest.mark.parametrize("workers", [8], indirect=True)
+def test_small_batch_runs_on_few_threads(workers, monkeypatch):
+    # One thread per _EULER_CHUNK // 2 paths at most, however many CPUs.
+    monkeypatch.setattr(sde, "_pool", None)
+    threads, draw = set(), rng.gaussians
+
+    def gaussians(keys, counters):
+        threads.add(threading.get_ident())
+        return draw(keys, counters)
+
+    monkeypatch.setattr(rng, "gaussians", gaussians)
+    d, n = 2, sde._EULER_CHUNK
+    prob = generic_problem(random_affine_coeffs(d, seed=11), d=d, steps=4)
+    X0 = np.zeros((n, d))
+    keys = rng.stream_key(rng.child_seeds(7, np.arange(n)))
+    terminal_values(prob, X0, keys)
+    assert 1 <= len(threads) <= 2
+    assert threading.get_ident() not in threads
+
+
 def _euler_in_child(prob, X0, keys, want):
     if not np.array_equal(terminal_values(prob, X0, keys), want):
         raise AssertionError("child result differs")
@@ -320,7 +351,7 @@ def _euler_in_child(prob, X0, keys, want):
 def test_forked_child_builds_its_own_pool(workers):
     # The child inherits the parent's executor but none of its threads.
     prob = generic_problem(random_affine_coeffs(2, seed=8), d=2, steps=8)
-    n = 64
+    n = sde._EULER_CHUNK  # two chunks of _EULER_CHUNK // 2 paths
     X0 = np.random.RandomState(9).uniform(-1, 1, size=(n, 2))
     keys = rng.stream_key(rng.child_seeds(5, np.arange(n)))
     want = terminal_values(prob, X0, keys)  # creates the pool in this process
