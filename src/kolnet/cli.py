@@ -90,8 +90,7 @@ def _grid_points(problem: KolmogorovProblem, size: int, seed: int) -> np.ndarray
     if d == 1:
         return np.linspace(problem.u, problem.v, size)[:, None]
     key = rng.stream_key(rng.child_seeds(seed, 0x671D))
-    U = rng.uniforms(key, np.arange(size * d)).reshape(size, d)
-    return problem.u + (problem.v - problem.u) * U
+    return rng.hypercube(key, size, d, problem.u, problem.v)
 
 
 def _closed_form_reference(problem: KolmogorovProblem, points: np.ndarray):

@@ -133,8 +133,7 @@ def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
         raise ValueError("payoff input width does not match problem dimension")
     d = problem.dim
     grid_key = rng.stream_key(rng.child_seeds(spec.seed, 0xD1CE))
-    U = rng.uniforms(grid_key, np.arange(spec.grid_size * d)).reshape(spec.grid_size, d)
-    grid = problem.u + (problem.v - problem.u) * U
+    grid = rng.hypercube(grid_key, spec.grid_size, d, problem.u, problem.v)
     ref_seed = rng.child_seed(spec.seed, 0xEF)
     ref_vals, _ = mc_reference_grid(problem, grid, spec.ref_paths, ref_seed)
 

@@ -55,8 +55,7 @@ def generate_dataset(problem: KolmogorovProblem, m: int, seed: int) -> Dataset:
         raise ValueError("m must be >= 1")
     d = problem.dim
     x_key = rng.stream_key(rng.child_seeds(seed, 0))
-    U = rng.uniforms(x_key, np.arange(m * d)).reshape(m, d)
-    X = problem.u + (problem.v - problem.u) * U
+    X = rng.hypercube(x_key, m, d, problem.u, problem.v)
     path_seeds = rng.child_seeds(rng.child_seeds(seed, 1), np.arange(m))
     keys = rng.stream_key(path_seeds)
     Y = problem.clipped_payoff(terminal_values(problem, X, keys))

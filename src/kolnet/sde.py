@@ -215,8 +215,13 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     if problem.gbm_flag:
         mu = np.diag(co.A)
         sig = np.array([co.C[i + 1][i, i] for i in range(d)])
-        Z = rng.gaussians(keys[:, None], np.arange(d)[None, :])
-        S = X0 * np.exp((mu - 0.5 * sig**2) * T + sig * np.sqrt(T) * Z)
+        # X0 exp((mu - sig^2/2) T + sig sqrt(T) Z), in place on the draws Z:
+        # every step only reorders operands of a commutative op, so bits match.
+        S = rng.gaussians(keys[:, None], np.arange(d)[None, :])
+        S *= sig * np.sqrt(T)
+        S += (mu - 0.5 * sig**2) * T
+        np.exp(S, out=S)
+        S *= X0
         if not np.all(np.isfinite(S)):
             raise SimulationError(0, "non-finite terminal value (exact GBM)")
         return S

@@ -1,6 +1,9 @@
 """Tests for dataset generation, empirical risk, ERM training, and the
 error-decomposition report."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from kolnet.nets import (
     put_payoff_network,
     realize,
 )
-from kolnet.sde import AffineCoefficients, KolmogorovProblem, gbm_coefficients
+from kolnet.sde import AffineCoefficients, KolmogorovProblem, gbm_coefficients, load_problem
 
 
 def zero_coeffs(d):
@@ -86,6 +89,20 @@ def test_dataset_regeneration_identical():
     assert np.array_equal(a.labels, b.labels)
     c = generate_dataset(prob, 1000, seed=4)
     assert not np.array_equal(a.labels, c.labels)
+
+
+def test_dataset_memory_is_bounded():
+    # m = 1e5 on the d = 5 basket: the 4.8 MB dataset, the draws and the
+    # per-path keys fit in 14 MB; whole-array hash temporaries took 20.7 MB.
+    prob = load_problem(Path(__file__).resolve().parent.parent / "problems" / "basket_put_d5.txt")
+    tracemalloc.start()
+    try:
+        data = generate_dataset(prob, 100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.m == 100_000
+    assert peak <= 14 * 2**20
 
 
 def test_dataset_rejects_empty():

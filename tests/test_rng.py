@@ -1,9 +1,12 @@
 """Tests for the counter-based random number generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from kolnet import rng
 
@@ -96,11 +99,106 @@ def test_reproducibility_property(seed, counter):
 
 def test_bit_identical_across_invocations():
     # Frozen values guard against accidental algorithm changes that would
-    # silently re-randomize every seeded experiment in the package.
+    # silently re-randomize every seeded experiment in the package.  Counter
+    # 2 is above 1/2, where (k + 0.5) 2**-53 rounds half to even, and
+    # counter 0 gives |z| > 2, where ndtri takes its log branch.
     key = rng.stream_key(0)
-    u = rng.uniforms(key, np.arange(3))
-    again = rng.uniforms(rng.stream_key(0), np.arange(3))
+    u = rng.uniforms(key, np.arange(5))
+    z = rng.gaussians(key, np.arange(5))
+    assert [x.hex() for x in u] == [
+        "0x1.0000000000000p-54",
+        "0x1.ff0dc8cf7f285p-2",
+        "0x1.580ad4d6a777ap-1",
+        "0x1.74c8809f3d735p-2",
+        "0x1.26f42e0603a0cp-1",
+    ]
+    assert [x.hex() for x in z] == [
+        "-0x1.095b059d67c4dp+3",
+        "-0x1.2f928e80c3426p-9",
+        "0x1.c803575dae4adp-2",
+        "-0x1.64022503ae9b2p-2",
+        "0x1.88f81bb3afb5ep-3",
+    ]
+    assert u[2] >= 0.5 and abs(z[0]) > 2
+    again = rng.uniforms(rng.stream_key(0), np.arange(5))
     assert np.array_equal(u, again)
+
+
+def one_shot_uniforms(keys, counters):
+    """The unblocked expression uniforms computes, over the whole broadcast at once."""
+    k = np.asarray(keys, dtype=np.uint64)
+    c = np.asarray(counters, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        w = rng.mix64(k ^ rng.mix64((c + np.uint64(1)) * rng._GOLDEN))
+    u = np.asarray(w >> np.uint64(11), dtype=np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+    return u if u.ndim else u[()]
+
+
+def one_shot_gaussians(keys, counters):
+    return ndtri(one_shot_uniforms(keys, counters))
+
+
+B = rng._BLOCK
+KEYS = rng.stream_key(np.arange(3 * B + 7))
+
+
+@pytest.mark.parametrize(
+    "keys, counters",
+    [(rng.stream_key(11), np.arange(n)) for n in (B - 1, B, B + 1, 3 * B + 7)]
+    + [
+        # (n, 1) x (1, d) with n*d on either side of B and across several blocks
+        (KEYS[:n, None], np.arange(d)[None, :])
+        for n, d in ((B // 5, 5), (B // 5 + 1, 5), (B // 3 + 2, 3), (2 * B // 7 + 5, 7))
+    ]
+    + [
+        # the Euler layout: keys (1, n), counters (d, 1), in one block or several
+        (KEYS[None, :n], 5 * 7 + np.arange(5)[:, None])
+        for n in (2500, 4096, B // 2 + 1, 2 * B + 1)
+    ]
+    + [
+        (KEYS[:, None], np.arange(3 * (3 * B + 7)).reshape(-1, 3)),  # both sliced per block
+        (KEYS[: B + 1], np.arange(B + 1)),  # elementwise pairs
+        (KEYS[:3, None, None], np.arange(24).reshape(1, 4, 6)),  # rank 3
+        (KEYS[:4], 2**64 - 1),  # the largest counter wraps like the one-shot sum
+        (rng.stream_key(7), []),  # empty
+        (KEYS[:0, None], np.arange(5)[None, :]),  # empty leading axis
+    ],
+)
+def test_blocked_draws_match_one_shot(keys, counters):
+    for blocked, one_shot in ((rng.uniforms, one_shot_uniforms), (rng.gaussians, one_shot_gaussians)):
+        got, want = blocked(keys, counters), one_shot(keys, counters)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("keys, counters", [(rng.stream_key(3), 9), (np.uint64(5), np.uint64(0))])
+def test_zero_dim_draws_are_scalars(keys, counters):
+    for blocked, one_shot in ((rng.uniforms, one_shot_uniforms), (rng.gaussians, one_shot_gaussians)):
+        got = blocked(keys, counters)
+        assert type(got) is np.float64 and got.hex() == one_shot(keys, counters).hex()
+
+
+def test_gaussians_memory_is_output_plus_counters():
+    # Hash temporaries are block-sized: beyond the float64 output and a
+    # uint64 copy of the counters, a million draws need at most 2 MB.
+    key, counters = rng.stream_key(1), np.arange(2**20)
+    tracemalloc.start()
+    try:
+        z = rng.gaussians(key, counters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= z.nbytes + counters.nbytes + 2 * 2**20
+
+
+def test_hypercube_scales_the_draws():
+    key = rng.stream_key(4)
+    X = rng.hypercube(key, 7, 3, 0.5, 1.5)
+    U = one_shot_uniforms(key, np.arange(21)).reshape(7, 3)
+    assert np.array_equal(X, 0.5 + (1.5 - 0.5) * U)
 
 
 def inv_mix64(z: int) -> int:

@@ -195,6 +195,20 @@ def test_gbm_exact_matches_lognormal_distribution():
     assert out[0] == pytest.approx(want, rel=1e-12)
 
 
+def test_exact_gbm_matches_one_shot_formula_across_blocks():
+    # The in-place exact-GBM branch against the one-line formula it replaced,
+    # for n * d on both sides of one block of draws and across several.
+    mu, sig = np.linspace(-0.1, 0.1, 5), np.linspace(0.1, 0.5, 5)
+    prob = put_problem(d=5, mu=mu, sigma=sig, T=0.7)
+    for n in (rng._BLOCK // 5, rng._BLOCK // 5 + 1, 3 * rng._BLOCK // 5 + 2):
+        keys = rng.stream_key(rng.child_seeds(8, np.arange(n)))
+        X0 = 0.5 + np.random.default_rng(n).random((n, 5))
+        Z = rng.gaussians(keys[:, None], np.arange(5)[None, :])
+        want = X0 * np.exp((mu - 0.5 * sig**2) * 0.7 + sig * np.sqrt(0.7) * Z)
+        got = terminal_values(prob, X0, keys)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_seed_determinism_bit_identical():
     prob = generic_problem(random_affine_coeffs(2, seed=3), d=2)
     x0 = np.array([0.5, -0.5])
