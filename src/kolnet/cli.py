@@ -180,7 +180,6 @@ def cmd_build(args) -> int:
     problem = load_problem(args.problem)
     spec = BuildSpec(
         n=args.n,
-        payoff=problem.payoff,
         retries=args.retries,
         grid_size=args.grid,
         ref_paths=args.paths,
@@ -399,11 +398,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _check_counts(args) -> None:
+def _check_args(args) -> None:
     for name in ("grid", "paths", "m", "iters", "batch", "eval_every"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be a positive integer")
+    # train's parameter bound: --R and --project only act together.
+    R, project = getattr(args, "R", None), getattr(args, "project", False)
+    if R is not None and not project:
+        raise UsageError("--R needs --project")
+    if project and R is None:
+        raise UsageError("--project needs --R")
+    if R is not None and not 0 < R < np.inf:
+        raise UsageError("--R must be a positive finite number")
 
 
 def main(argv=None) -> int:
@@ -413,7 +420,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        _check_counts(args)
+        _check_args(args)
         return args.func(args)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,6 @@ class BuildSpec:
     """
 
     n: int
-    payoff: Parametrization
     retries: int = 1
     grid_size: int = 64
     ref_paths: int = 4000
@@ -129,8 +128,6 @@ def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
     wins.  Construction size caps are hard-checked on the winner; a
     violated cap raises RuntimeError.
     """
-    if spec.payoff.architecture.input_width != problem.dim:
-        raise ValueError("payoff input width does not match problem dimension")
     d = problem.dim
     grid_key = rng.stream_key(rng.child_seeds(spec.seed, 0xD1CE))
     grid = rng.hypercube(grid_key, spec.grid_size, d, problem.u, problem.v)
@@ -144,14 +141,14 @@ def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
     for retry in range(spec.retries):
         map_seeds = rng.child_seeds(rng.child_seed(spec.seed, retry + 1), np.arange(spec.n))
         M, N = extract_affine_batch(problem, map_seeds)
-        candidate = compose_average(spec.payoff, M, N)
+        candidate = compose_average(problem.payoff, M, N)
         err = l2_error(ClippedNetwork(candidate, problem.clip_amplitude), grid, ref_vals)
         errors.append(err)
         if err < best_err:
             best_err = err
             best = candidate
             best_maps = M, N
-    bounds = verify_construction_bounds(best, spec.payoff, *best_maps)
+    bounds = verify_construction_bounds(best, problem.payoff, *best_maps)
     if not (bounds.param_ok and bounds.theta_ok and bounds.depth_ok):
         raise RuntimeError(f"construction bounds violated: {bounds}")
     if bounds.max_width > bounds.width_expected:

@@ -5,6 +5,13 @@ a value is a pure function of (key, counter).  Substreams for path i are
 derived as a hash of (master seed, i), so parallel generation is
 order-independent and a given seed reproduces identical bits across runs
 and thread counts.
+
+The key hash stream_key(s) = mix64(s + golden) and the counter hash
+mix64((c + 1) golden) are the same function, so a key meets a counter
+whenever s = c golden (mod 2**64): its word there is 0, the uniform is
+2**-54 and the Gaussian -8.29.  Package streams key on hashed child seeds
+and hit this only by chance; a caller keying on small seeds directly
+(stream_key(0) at counter 0) hits it at once.
 """
 
 from __future__ import annotations

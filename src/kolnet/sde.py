@@ -11,7 +11,6 @@ value therefore has a pathwise representation S_T^x = M x + N that
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -158,24 +157,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool = None  # ((pid, cpus), ThreadPoolExecutor) of the last pooled Euler call
-
-
-def _executor(cpus: int) -> ThreadPoolExecutor:
-    """The Euler thread pool of up to ``cpus`` threads, created on first use.
-
-    It starts a thread only when a submitted chunk finds none idle, so a
-    call of w chunks never runs more than w threads.  It is keyed on the
-    pid: a forked child inherits the executor but not its threads, so it
-    builds its own instead of queueing work that nothing would run.  A
-    replaced executor's idle threads exit once it is garbage collected."""
-    global _pool
-    key = (os.getpid(), cpus)
-    if _pool is None or _pool[0] != key:
-        _pool = (key, ThreadPoolExecutor(cpus, thread_name_prefix="kolnet-euler"))
-    return _pool[1]
-
-
 def _euler_chunks(n: int, workers: int) -> list:
     """(lo, hi) path ranges: a multiple of ``workers`` chunks of at most
     _EULER_CHUNK paths whose sizes differ by at most one.
@@ -200,8 +181,9 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     (keys[i], k*d + j), so a path's value does not depend on the batch it
     is in, unless the batch is that path alone (see _euler_chunks).  Euler
     chunks of paths run on one thread per usable CPU, at most one per
-    _EULER_CHUNK // 2 paths; since a path's bits do not depend on its
-    chunk, neither does the result.
+    _EULER_CHUNK // 2 paths, in a pool that is joined before the call
+    returns; since a path's bits do not depend on its chunk, neither does
+    the result.
     Overflow raises no numpy warning: the isfinite checks turn it into
     SimulationError, at the earliest non-finite step over all paths.
     """
@@ -234,19 +216,15 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     C = np.vstack(co.C)  # ((d+1)*d, d): all diffusion products in one matmul
     b = co.b[:, None]
     out = np.empty((n, d))
-    earliest = [steps]  # earliest non-finite step any chunk has recorded
-    lock = threading.Lock()
 
     # errstate is thread-local: pool threads need their own.
     @np.errstate(over="ignore", invalid="ignore")
     def chunk(bounds):
-        """Run paths lo:hi into out[lo:hi], stopping at their first non-finite
-        step or at an earlier one another chunk already recorded."""
+        """Run paths lo:hi into out[lo:hi]; return their first non-finite
+        step, or ``steps`` if they stay finite."""
         lo, hi = bounds
         X = np.array(X0[lo:hi].T, dtype=np.float64, order="C")
         for k in range(steps):
-            if k >= earliest[0]:
-                return
             dB = rng.gaussians(keys[None, lo:hi], k * d + coords)
             dB *= sqdt
             drift = co.A @ X
@@ -260,20 +238,21 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
             X += drift
             X += diff
             if not np.all(np.isfinite(X)):
-                with lock:
-                    earliest[0] = min(earliest[0], k)
-                return
+                return k
         out[lo:hi] = X.T
+        return steps
 
     # One thread per usable CPU, but no more than one per _EULER_CHUNK // 2
     # paths: every thread runs the Python loop of each step under the GIL and
     # holds its own BLAS buffer, so a small batch gains nothing from more.
-    cpus = _usable_cpus()
-    workers = max(1, min(cpus, -(-n // (_EULER_CHUNK // 2))))
+    workers = max(1, min(_usable_cpus(), -(-n // (_EULER_CHUNK // 2))))
     chunks = _euler_chunks(n, workers)
-    run = _executor(cpus).map if workers > 1 else map
-    list(run(chunk, chunks))  # reading every result re-raises a chunk's exception
-    bad_step = earliest[0]
+    if workers > 1:
+        # Leaving the block joins the threads, so none outlives the call.
+        with ThreadPoolExecutor(workers, thread_name_prefix="kolnet-euler") as pool:
+            bad_step = min(pool.map(chunk, chunks))  # re-raises a chunk's exception
+    else:
+        bad_step = min(map(chunk, chunks))
     if bad_step < steps:
         raise SimulationError(bad_step, f"non-finite state at Euler step {bad_step}")
     return out

@@ -323,16 +323,13 @@ def test_constructive_builder_error_decreases():
     t0 = time.perf_counter()
     prob = put_problem_1d()
     reference = closed_form_grid(prob, 128, seed=5)
-    payoff = put_payoff_network(np.array([1.0]), 1.0)
     medians = []
     for n in (256, 1024, 4096):
         errs = []
         for seed in range(5):
             net, report = build_mc_network(
                 prob,
-                BuildSpec(
-                    n=n, payoff=payoff, retries=1, grid_size=64, ref_paths=2000, seed=seed
-                ),
+                BuildSpec(n=n, retries=1, grid_size=64, ref_paths=2000, seed=seed),
             )
             assert report.bounds.all_ok
             errs.append(l2_error(ClippedNetwork(net, prob.clip_amplitude), *reference))

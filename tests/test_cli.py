@@ -255,7 +255,7 @@ def test_evaluate_reloaded_build_matches_in_memory_network(tmp_path):
     assert code == EXIT_OK
     problem = load_problem(basket)
     built, _ = constructive.build_mc_network(problem, constructive.BuildSpec(
-        n=128, payoff=problem.payoff, retries=2, grid_size=8, ref_paths=400, seed=2,
+        n=128, retries=2, grid_size=8, ref_paths=400, seed=2,
     ))
     assert [W.ndim for W, _ in built.layers] == [2, 3, 2]
     err, floor, kind = cli._score(
@@ -378,6 +378,28 @@ def test_evaluate_hashes_network_bytes_not_path(tmp_path, capsys):
 
 def test_train_missing_args_usage_error(tmp_path):
     assert run(["train", PUT_D1, "--seed", "1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--R", "5"], "--R"),
+        (["--project"], "--project"),
+        (["--R", "0", "--project"], "--R"),
+        (["--R", "-1", "--project"], "--R"),
+        (["--R", "nan", "--project"], "--R"),
+    ],
+    ids=["R_alone", "project_alone", "R_zero", "R_negative", "R_nan"],
+)
+def test_parameter_bound_flags_are_checked(tmp_path, capsys, flags, flag):
+    code = run([
+        "train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--iters", "10",
+        "--seed", "1", "--out-dir", str(tmp_path), *flags,
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {flag} ")
+    assert not any(tmp_path.iterdir())  # rejected before any output is written
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def random_maps(rs, n, d):
 
 def test_build_degenerate_sde_equals_payoff():
     prob = degenerate_problem(d=2)
-    spec = BuildSpec(n=8, payoff=prob.payoff, retries=1, grid_size=32, seed=0)
+    spec = BuildSpec(n=8, retries=1, grid_size=32, seed=0)
     built, report = build_mc_network(prob, spec)
     X = np.random.RandomState(0).uniform(0, 1, size=(100, 2))
     diff = np.abs(evaluate(built, X) - evaluate(prob.payoff, X)).max()
@@ -76,7 +76,7 @@ def test_build_degenerate_sde_equals_payoff():
 
 def test_build_single_map_matches_direct_composition():
     prob = put_problem()
-    spec = BuildSpec(n=1, payoff=prob.payoff, retries=1, grid_size=16, seed=1)
+    spec = BuildSpec(n=1, retries=1, grid_size=16, seed=1)
     built, report = build_mc_network(prob, spec)
     assert report.chosen_retry >= 0
     # A single-term average is eta composed with the one drawn affine map;
@@ -93,7 +93,7 @@ def test_build_error_decreases_with_n():
     ]
 
     def l2_for(n, seed):
-        spec = BuildSpec(n=n, payoff=prob.payoff, retries=1, grid_size=32, seed=seed)
+        spec = BuildSpec(n=n, retries=1, grid_size=32, seed=seed)
         built, _ = build_mc_network(prob, spec)
         f = ClippedNetwork(built, 1.0)
         pred = f(grid[:, None])
@@ -107,7 +107,7 @@ def test_build_error_decreases_with_n():
 
 def test_build_report_bounds_hold():
     prob = put_problem()
-    spec = BuildSpec(n=32, payoff=prob.payoff, retries=2, grid_size=32, seed=3)
+    spec = BuildSpec(n=32, retries=2, grid_size=32, seed=3)
     built, report = build_mc_network(prob, spec)
     assert report.bounds.all_ok
     assert report.bounds.param_count == built.architecture.param_count
@@ -118,7 +118,7 @@ def test_build_report_bounds_hold():
 
 def test_build_report_csv(tmp_path):
     prob = put_problem()
-    spec = BuildSpec(n=4, payoff=prob.payoff, retries=2, grid_size=16, seed=4)
+    spec = BuildSpec(n=4, retries=2, grid_size=16, seed=4)
     _, report = build_mc_network(prob, spec)
     path = tmp_path / "report.csv"
     report.save_csv(path)
@@ -129,7 +129,7 @@ def test_build_report_csv(tmp_path):
 
 def test_build_deterministic():
     prob = put_problem()
-    spec = BuildSpec(n=8, payoff=prob.payoff, retries=1, grid_size=16, seed=5)
+    spec = BuildSpec(n=8, retries=1, grid_size=16, seed=5)
     b1, r1 = build_mc_network(prob, spec)
     b2, r2 = build_mc_network(prob, spec)
     for (Wa, Ba), (Wb, Bb) in zip(b1.layers, b2.layers):
@@ -140,7 +140,7 @@ def test_build_deterministic():
 
 def test_built_clipped_output_bounded():
     prob = put_problem(D=1.0)
-    spec = BuildSpec(n=16, payoff=prob.payoff, retries=1, grid_size=16, seed=6)
+    spec = BuildSpec(n=16, retries=1, grid_size=16, seed=6)
     built, _ = build_mc_network(prob, spec)
     f = ClippedNetwork(built, 1.0)
     X = np.random.RandomState(7).uniform(-3, 3, size=(10000, 1))
@@ -224,8 +224,7 @@ def test_verify_bounds_theta_cap_matches_per_map_norms():
 
 
 def test_build_spec_validation():
-    prob = put_problem()
     with pytest.raises(ValueError):
-        BuildSpec(n=0, payoff=prob.payoff)
+        BuildSpec(n=0)
     with pytest.raises(ValueError):
-        BuildSpec(n=4, payoff=prob.payoff, retries=0)
+        BuildSpec(n=4, retries=0)

@@ -124,6 +124,14 @@ def test_bit_identical_across_invocations():
     assert np.array_equal(u, again)
 
 
+@pytest.mark.parametrize("c", [0, 1, 7, 2**20, 2**63 + 5])
+def test_key_hash_equals_counter_hash(c):
+    # stream_key(s) = mix64(s + golden) is the counter hash mix64((c + 1) golden)
+    # at s = c golden, so the key cancels the counter and the word is 0.
+    s = (c * int(rng._GOLDEN)) % 2**64
+    assert rng.uniforms(rng.stream_key(np.uint64(s)), np.uint64(c)) == 2.0**-54
+
+
 def one_shot_uniforms(keys, counters):
     """The unblocked expression uniforms computes, over the whole broadcast at once."""
     k = np.asarray(keys, dtype=np.uint64)

@@ -327,19 +327,22 @@ def test_pooled_divergence_raises_no_runtime_warning(workers):
 
 def test_one_cpu_runs_every_chunk_inline(monkeypatch):
     monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(sde, "_pool", None)
     d, n = 2, 2 * sde._EULER_CHUNK + 123  # three chunks
     prob = generic_problem(random_affine_coeffs(d, seed=10), d=d, steps=4)
     X0 = np.zeros((n, d))
     keys = rng.stream_key(rng.child_seeds(6, np.arange(n)))
-    terminal_values(prob, X0, keys)
-    assert sde._pool is None
+    want = path_major_euler(prob, X0, keys)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one CPU made a thread pool")
+
+    monkeypatch.setattr(sde, "ThreadPoolExecutor", no_pool)
+    assert np.array_equal(terminal_values(prob, X0, keys), want)
 
 
 @pytest.mark.parametrize("workers", [8], indirect=True)
 def test_small_batch_runs_on_few_threads(workers, monkeypatch):
     # One thread per _EULER_CHUNK // 2 paths at most, however many CPUs.
-    monkeypatch.setattr(sde, "_pool", None)
     threads, draw = set(), rng.gaussians
 
     def gaussians(keys, counters):
@@ -356,23 +359,29 @@ def test_small_batch_runs_on_few_threads(workers, monkeypatch):
     assert threading.get_ident() not in threads
 
 
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_pooled_call_leaves_no_thread_alive(workers):
+    prob = generic_problem(random_affine_coeffs(2, seed=12), d=2, steps=4)
+    n = sde._EULER_CHUNK  # two chunks of _EULER_CHUNK // 2 paths, two threads
+    X0 = np.zeros((n, 2))
+    keys = rng.stream_key(rng.child_seeds(8, np.arange(n)))
+    terminal_values(prob, X0, keys)
+    left = [t.name for t in threading.enumerate() if t.name.startswith("kolnet-euler")]
+    assert left == []
+
+
 def _euler_in_child(prob, X0, keys, want):
     if not np.array_equal(terminal_values(prob, X0, keys), want):
         raise AssertionError("child result differs")
 
 
 @pytest.mark.parametrize("workers", [2], indirect=True)
-def test_forked_child_builds_its_own_pool(workers):
-    # The child inherits the parent's executor but none of its threads.
+def test_forked_child_after_pooled_call_gets_same_bits(workers):
     prob = generic_problem(random_affine_coeffs(2, seed=8), d=2, steps=8)
     n = sde._EULER_CHUNK  # two chunks of _EULER_CHUNK // 2 paths
     X0 = np.random.RandomState(9).uniform(-1, 1, size=(n, 2))
     keys = rng.stream_key(rng.child_seeds(5, np.arange(n)))
-    want = terminal_values(prob, X0, keys)  # creates the pool in this process
-    # Occupy both pool threads at once, so that both exist: a child that
-    # reused the inherited executor would then never start a thread of its own.
-    both = threading.Barrier(2)
-    list(sde._executor(workers).map(lambda _: both.wait(timeout=30), range(2)))
+    want = terminal_values(prob, X0, keys)  # a pooled call in this process
     child = multiprocessing.get_context("fork").Process(
         target=_euler_in_child, args=(prob, X0, keys, want)
     )
@@ -382,7 +391,7 @@ def test_forked_child_builds_its_own_pool(workers):
     if alive:
         child.kill()
         child.join()
-    assert not alive, "forked child hung on the inherited pool"
+    assert not alive, "forked child hung"
     assert child.exitcode == 0
 
 
