@@ -201,8 +201,11 @@ def cmd_build(args) -> int:
 
 def _run_pipeline(problem, args, out_dir: Path, comment: str):
     """generate -> train -> evaluate against reference; returns summary dict."""
+    widths = _positive_ints("--arch", args.arch)
+    if len(widths) < 2 or widths[0] != problem.dim or widths[-1] != 1:
+        raise UsageError(f"--arch {args.arch} must run from the problem dimension {problem.dim} to 1")
+    arch = Architecture(widths)
     data = generate_dataset(problem, args.m, args.seed)
-    arch = Architecture(tuple(int(w) for w in args.arch.split(",")))
     config = TrainConfig(
         architecture=arch,
         clip_amplitude=problem.clip_amplitude,
@@ -214,6 +217,10 @@ def _run_pipeline(problem, args, out_dir: Path, comment: str):
         seed=rng.child_seed(args.seed, 0x7124),
     )
     fit = train_erm(data, config)
+    # Scoring does not need the dataset.  Freeing it first also raises glibc's
+    # adaptive mmap threshold past the reference grid's per-point arrays, so
+    # they are reused from the heap instead of faulted in afresh at each point.
+    del data
     err, floor, ref_kind = _score(problem, fit.network, args)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_network(fit.trained, out_dir / "trained_network.txt")
@@ -253,7 +260,14 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     problem = load_problem(args.problem)
-    net = ClippedNetwork(load_network(args.network), problem.clip_amplitude)
+    params = load_network(args.network)
+    widths = params.architecture.widths
+    if widths[0] != problem.dim or widths[-1] != 1:
+        raise UsageError(
+            f"{args.network}: network maps {widths[0]} inputs to {widths[-1]} outputs, "
+            f"but {args.problem} needs {problem.dim} inputs and 1 output"
+        )
+    net = ClippedNetwork(params, problem.clip_amplitude)
     err, floor, ref_kind = _score(problem, net, args)
     out = Path(args.out_dir) / "evaluation.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -269,7 +283,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_scaling_study(args) -> int:
-    dims = [int(x) for x in args.dims.split(",")]
+    dims = _positive_ints("--dims", args.dims)
     if len(set(dims)) < 3:
         raise UsageError("scaling study needs at least 3 distinct dimensions")
     out_dir = Path(args.out_dir)
@@ -398,11 +412,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _positive_ints(flag: str, text: str) -> tuple:
+    """The comma-separated positive integers of a flag's value, or UsageError naming the flag."""
+    try:
+        values = tuple(int(w) for w in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or min(values) < 1:
+        raise UsageError(f"{flag} must be comma-separated positive integers, got {text!r}")
+    return values
+
+
 def _check_args(args) -> None:
-    for name in ("grid", "paths", "m", "iters", "batch", "eval_every"):
+    for name in ("grid", "paths", "m", "iters", "batch", "eval_every", "n", "retries"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be a positive integer")
+    if getattr(args, "paths", 2) < 2:
+        raise UsageError("--paths must be at least 2: a Monte-Carlo standard error needs two paths")
     # train's parameter bound: --R and --project only act together.
     R, project = getattr(args, "R", None), getattr(args, "project", False)
     if R is not None and not project:

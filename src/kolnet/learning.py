@@ -49,16 +49,32 @@ class Dataset:
         return self.inputs.shape[1]
 
 
+# Rows per label block of generate_dataset.  A multiple of nets._CHUNK_ROWS,
+# so the payoff pass chunks as over the whole dataset, and large enough that
+# no Euler block holds a single path (gemv bits) unless m = 1.
+_BLOCK_ROWS = 1 << 14
+
+
 def generate_dataset(problem: KolmogorovProblem, m: int, seed: int) -> Dataset:
-    """i.i.d. pairs: X uniform on the hypercube, Y the clipped payoff at S_T^X."""
+    """i.i.d. pairs: X uniform on the hypercube, Y the clipped payoff at S_T^X.
+
+    Labels are computed in blocks of _BLOCK_ROWS rows (the last block takes
+    the remainder), so working memory is the dataset plus one block.  Path i
+    draws on its own stream, so every label is as in one unblocked pass.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    d = problem.dim
     x_key = rng.stream_key(rng.child_seeds(seed, 0))
-    X = rng.hypercube(x_key, m, d, problem.u, problem.v)
-    path_seeds = rng.child_seeds(rng.child_seeds(seed, 1), np.arange(m))
-    keys = rng.stream_key(path_seeds)
-    Y = problem.clipped_payoff(terminal_values(problem, X, keys))
+    X = rng.hypercube(x_key, m, problem.dim, problem.u, problem.v)
+    Y = np.empty(m)
+    path_seed = rng.child_seeds(seed, 1)
+    payoff = problem.clipped_payoff
+    blocks = max(1, m // _BLOCK_ROWS)
+    for b in range(blocks):
+        lo = b * _BLOCK_ROWS
+        hi = m if b == blocks - 1 else lo + _BLOCK_ROWS
+        keys = rng.stream_key(rng.child_seeds(path_seed, np.arange(lo, hi)))
+        Y[lo:hi] = payoff(terminal_values(problem, X[lo:hi], keys))
     return Dataset(X, Y)
 
 
@@ -68,7 +84,10 @@ def _squared_residuals(f: ClippedNetwork, points: np.ndarray, values: np.ndarray
         raise ValueError("reference must be nonempty")
     if len(values) != len(points):
         raise ValueError(f"{len(points)} points but {len(values)} reference values")
-    return (f(points) - values) ** 2
+    r = f(points)  # a fresh array, squared in place
+    r -= values
+    r *= r
+    return r
 
 
 def empirical_risk(f: ClippedNetwork, data: Dataset) -> float:

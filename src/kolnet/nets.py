@@ -202,7 +202,8 @@ class ClippedNetwork:
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """Clipped scalar outputs for a batch X of shape (n, d)."""
         D = self.clip_amplitude
-        return np.clip(evaluate(self.params, X)[:, 0], -D, D)
+        values = evaluate(self.params, X)[:, 0]
+        return np.clip(values, -D, D, out=values)
 
 
 def clip_network(D: float) -> Parametrization:

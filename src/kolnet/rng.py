@@ -127,8 +127,17 @@ def gaussians(keys, counters):
 
 def hypercube(key, n: int, d: int, lo, hi) -> np.ndarray:
     """n points uniform on [lo, hi]^d: row i holds the draws at counters
-    i*d .. i*d + d - 1 of ``key``, scaled in place."""
-    X = uniforms(key, np.arange(n * d, dtype=np.uint64)).reshape(n, d)
+    i*d .. i*d + d - 1 of ``key``, scaled in place.
+
+    Rows are drawn in blocks of at most _BLOCK counters (but at least one
+    row), so no counter array of the whole output is built.
+    """
+    X = np.empty((n, d))
+    rows = max(1, _BLOCK // max(1, d))
+    for r in range(0, n, rows):
+        block = X[r : r + rows]
+        counters = np.arange(r * d, r * d + block.size, dtype=np.uint64)
+        block[...] = uniforms(key, counters).reshape(block.shape)
     X *= hi - lo
     X += lo
     return X

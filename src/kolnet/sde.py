@@ -149,12 +149,41 @@ class KolmogorovProblem:
         return ClippedNetwork(self.payoff, self.clip_amplitude)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; taskset and cgroup cpusets narrow it."""
+# cgroup v2's "<quota> <period>" file, then cgroup v1's quota and period.
+_CPU_QUOTA_FILES = (
+    "/sys/fs/cgroup/cpu.max",
+    "/sys/fs/cgroup/cpu/cpu.cfs_quota_us",
+    "/sys/fs/cgroup/cpu/cpu.cfs_period_us",
+)
+
+
+def _cpu_quota() -> int | None:
+    """CPUs a cgroup CPU quota allows, rounded up; None when there is no quota.
+
+    cgroup v2's quota "max" and v1's -1 mean no limit, as does a file that
+    cannot be read or parsed.
+    """
+    v2, v1_quota, v1_period = _CPU_QUOTA_FILES
     try:
-        return len(os.sched_getaffinity(0))
+        try:
+            quota, period = Path(v2).read_text().split()
+        except OSError:
+            quota, period = Path(v1_quota).read_text(), Path(v1_period).read_text()
+        quota, period = int(quota), int(period)
+    except (OSError, ValueError):
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the affinity mask (taskset, cgroup
+    cpusets), bounded by a cgroup CPU quota."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
 
 
 def _euler_chunks(n: int, workers: int) -> list:

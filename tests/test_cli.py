@@ -10,7 +10,7 @@ import pytest
 
 from kolnet import cli, constructive, sde
 from kolnet.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from kolnet.nets import ClippedNetwork, evaluate
+from kolnet.nets import ClippedNetwork, Parametrization, evaluate, save_network
 from kolnet.sde import load_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -171,6 +171,45 @@ def test_non_positive_counts_are_usage_errors(tmp_path, capsys, argv):
     assert code == EXIT_USAGE
     assert "must be a positive integer" in err
     assert not any(tmp_path.iterdir())  # rejected before any output is written
+
+
+@pytest.mark.parametrize(
+    "argv, needles",
+    [
+        (["simulate", PUT_D1, "--paths", "1"], ["--paths"]),
+        # d = 1 scores against the closed form, so --paths 1 used to pass.
+        (["train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--iters", "10", "--paths", "1"],
+         ["--paths"]),
+        (["train", PUT_D1, "--m", "100", "--arch", "1,a"], ["--arch", "'1,a'"]),
+        (["train", PUT_D1, "--m", "100", "--arch", "1,0,1"], ["--arch", "'1,0,1'"]),
+        (["train", PUT_D1, "--m", "100", "--arch", "2,4,1"], ["--arch 2,4,1", "dimension 1"]),
+        (["scaling-study", "--dims", "1,a,3"], ["--dims", "'1,a,3'"]),
+        # d = 0 used to end as "numerical failure: float division by zero", exit 3.
+        (["scaling-study", "--dims", "0,1,2"], ["--dims", "'0,1,2'"]),
+        (["build", PUT_D1, "--n", "0"], ["--n "]),
+        (["build", PUT_D1, "--n", "4", "--retries", "0"], ["--retries"]),
+        (["evaluate", PUT_D1, "wide_in.txt"], ["wide_in.txt", PUT_D1]),
+        (["evaluate", PUT_D1, "wide_out.txt"], ["wide_out.txt", PUT_D1]),
+    ],
+    ids=["paths_one", "train_paths_one_closed_form", "arch_not_integer", "arch_zero_width",
+         "arch_wrong_dimension", "dims_not_integer", "dims_zero", "build_n_zero", "build_retries_zero",
+         "evaluate_input_width", "evaluate_output_width"],
+)
+def test_bad_arguments_name_their_flag_or_file(tmp_path, capsys, argv, needles):
+    nets = {"wide_in.txt": (4, 3, 1), "wide_out.txt": (1, 3, 2)}
+    for name, widths in nets.items():
+        save_network(Parametrization(tuple(
+            (np.ones((b, a)), np.zeros(b)) for a, b in zip(widths, widths[1:])
+        )), tmp_path / name)
+    argv = [str(tmp_path / a) if a in nets else a for a in argv]
+    needles = [str(tmp_path / n) if n in nets else n for n in needles]
+    out = tmp_path / "out"
+    code = run(argv + ["--seed", "1", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ")
+    assert all(n in err for n in needles), err
+    assert not out.exists()  # rejected before any output is written
 
 
 def test_simulate_diverging_problem_is_numeric_failure(tmp_path, capsys):

@@ -2,12 +2,13 @@
 error-decomposition report."""
 
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kolnet import rng
+from kolnet import learning, rng
 from kolnet.analytic import capped_put_variance_uniform, lognormal_capped_put
 from kolnet.learning import (
     Dataset,
@@ -26,7 +27,13 @@ from kolnet.nets import (
     put_payoff_network,
     realize,
 )
-from kolnet.sde import AffineCoefficients, KolmogorovProblem, gbm_coefficients, load_problem
+from kolnet.sde import (
+    AffineCoefficients,
+    KolmogorovProblem,
+    gbm_coefficients,
+    load_problem,
+    terminal_values,
+)
 
 
 def zero_coeffs(d):
@@ -91,18 +98,50 @@ def test_dataset_regeneration_identical():
     assert not np.array_equal(a.labels, c.labels)
 
 
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+BLOCK = learning._BLOCK_ROWS
+
+
+def block_edge_problems():
+    basket = load_problem(PROBLEMS / "basket_put_d5.txt")
+    euler = replace(load_problem(PROBLEMS.parent / "bench" / "problems" / "euler_basket_d5.txt"),
+                    steps=4)
+    gen = np.random.default_rng(0)
+    hidden = Parametrization((
+        (gen.normal(size=(64, 5)), gen.normal(size=64)),
+        (gen.normal(size=(1, 64)) / 8, np.zeros(1)),
+    ))
+    return {"gbm_basket": basket, "euler": euler, "hidden_64_payoff": replace(basket, payoff=hidden)}
+
+
+@pytest.mark.parametrize("m", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 123])
+@pytest.mark.parametrize("name", ["gbm_basket", "euler", "hidden_64_payoff"])
+def test_dataset_blocks_match_one_shot_labels(name, m):
+    # Labels come in blocks of BLOCK rows, the last taking the remainder; each
+    # must equal the unblocked formula: one terminal_values and one payoff call.
+    prob = block_edge_problems()[name]
+    assert prob.coeffs.is_diagonal_gbm() == (name != "euler")
+    data = generate_dataset(prob, m, seed=21)
+    keys = rng.stream_key(rng.child_seeds(rng.child_seeds(21, 1), np.arange(m)))
+    want = prob.clipped_payoff(terminal_values(prob, data.inputs, keys))
+    x_key = rng.stream_key(rng.child_seeds(21, 0))
+    assert np.array_equal(data.inputs, rng.hypercube(x_key, m, prob.dim, prob.u, prob.v))
+    assert np.array_equal(data.labels, want)
+
+
 def test_dataset_memory_is_bounded():
-    # m = 1e5 on the d = 5 basket: the 4.8 MB dataset, the draws and the
-    # per-path keys fit in 14 MB; whole-array hash temporaries took 20.7 MB.
-    prob = load_problem(Path(__file__).resolve().parent.parent / "problems" / "basket_put_d5.txt")
+    # m = 2e5 on the d = 5 basket: beyond the 9.2 MiB dataset, generation holds
+    # one block of labels (1.5 MiB); computing every label at once took 12.2 MiB.
+    prob = load_problem(PROBLEMS / "basket_put_d5.txt")
+    generate_dataset(prob, 10, seed=0)
     tracemalloc.start()
     try:
-        data = generate_dataset(prob, 100_000, seed=0)
+        data = generate_dataset(prob, 200_000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert data.m == 100_000
-    assert peak <= 14 * 2**20
+    assert data.m == 200_000
+    assert peak - data.inputs.nbytes - data.labels.nbytes <= 4 * 2**20
 
 
 def test_dataset_rejects_empty():

@@ -209,6 +209,19 @@ def test_hypercube_scales_the_draws():
     assert np.array_equal(X, 0.5 + (1.5 - 0.5) * U)
 
 
+HYPER_ROWS = B // 7  # rows per hypercube block at d = 7
+
+
+@pytest.mark.parametrize("n", [1, HYPER_ROWS - 1, HYPER_ROWS, HYPER_ROWS + 1, 2 * HYPER_ROWS + 123])
+def test_hypercube_blocks_match_one_uniforms_call(n):
+    key = rng.stream_key(9)
+    X = rng.hypercube(key, n, 7, -1.0, 3.0)
+    U = rng.uniforms(key, np.arange(n * 7)).reshape(n, 7)
+    U *= 4.0
+    U += -1.0
+    assert np.array_equal(X, U)
+
+
 def inv_mix64(z: int) -> int:
     """Inverse of the SplitMix64 finalizer, on Python ints."""
     mask = 2**64 - 1

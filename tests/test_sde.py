@@ -241,6 +241,29 @@ def path_major_euler(problem, X0, keys):
     return X
 
 
+@pytest.mark.parametrize(
+    "files, quota",
+    [
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "100000 100000\n"}, 1),
+        ({"cfs_quota_us": "-1\n", "cfs_period_us": "100000\n"}, None),
+        ({"cfs_quota_us": "250000\n", "cfs_period_us": "100000\n"}, 3),
+        ({"cfs_quota_us": "250000\n"}, None),  # the period file is missing
+        ({}, None),
+    ],
+    ids=["v2_max", "v2_150000", "v2_one", "v1_minus_one", "v1_250000", "v1_no_period", "none"],
+)
+def test_cpu_quota_files(tmp_path, monkeypatch, files, quota):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = tuple(str(tmp_path / n) for n in ("cpu.max", "cfs_quota_us", "cfs_period_us"))
+    monkeypatch.setattr(sde, "_CPU_QUOTA_FILES", paths)
+    monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert sde._cpu_quota() == quota
+    assert sde._usable_cpus() == (8 if quota is None else quota)
+
+
 @pytest.fixture
 def workers(request, monkeypatch):
     """Run the Euler kernel as on a machine with ``request.param`` usable CPUs."""
