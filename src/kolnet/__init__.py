@@ -27,6 +27,7 @@ from .sde import (
     load_problem,
     mc_feynman_kac,
     mc_reference_grid,
+    payoff_samples,
     terminal_values,
 )
 from .learning import (

@@ -133,6 +133,14 @@ def sample_complexity_h(x1, x2, x3, x4, x5, D, u, v) -> float:
     )
 
 
+def _sample_count(h: float) -> int:
+    """ceil(h) as an int; OverflowError beyond the int64 range."""
+    m = math.ceil(h)
+    if m > np.iinfo(np.int64).max:
+        raise OverflowError(f"sample count {h:.3e} exceeds 64-bit range")
+    return int(m)
+
+
 def required_samples(eps: float, rho: float, spec: ClassSpec, approximation_form: bool = True) -> int:
     """Smallest integer m certified by the sample-complexity formula.
 
@@ -145,7 +153,7 @@ def required_samples(eps: float, rho: float, spec: ClassSpec, approximation_form
         raise ValueError("rho must be in (0, 1)")
     a = spec.architecture
     x1 = (2.0 if approximation_form else 1.0) / eps
-    h = sample_complexity_h(
+    return _sample_count(sample_complexity_h(
         x1,
         math.log(1.0 / rho),
         math.log(spec.R * a.max_width),
@@ -154,11 +162,7 @@ def required_samples(eps: float, rho: float, spec: ClassSpec, approximation_form
         spec.D,
         spec.u,
         spec.v,
-    )
-    m = math.ceil(h)
-    if m > np.iinfo(np.int64).max:
-        raise OverflowError(f"required sample count {h:.3e} exceeds 64-bit range")
-    return int(m)
+    ))
 
 
 @dataclass(frozen=True)
@@ -256,7 +260,7 @@ def kolmogorov_certificate(
     R_cap = max(1.0, C * d**r_exp_d * eps ** (-r_exp_e))
     depth = b_arch.depth
     width_cap = C * d**tau * eps ** (-1.0) * b_arch.max_width
-    h = sample_complexity_h(
+    m = _sample_count(sample_complexity_h(
         2.0 / eps,
         math.log(1.0 / rho),
         math.log(max(R_cap * width_cap, 1.0)),
@@ -265,10 +269,7 @@ def kolmogorov_certificate(
         D,
         u,
         v,
-    )
-    m = math.ceil(h)
-    if m > np.iinfo(np.int64).max:
-        raise OverflowError(f"certified sample count {h:.3e} exceeds 64-bit range")
+    ))
     provenance = {
         "P(a)": f"C*d^{p_exp_d:g}*eps^-{p_exp_e:g}",
         "R": f"C*d^{r_exp_d:g}*eps^-{r_exp_e:g}",
@@ -280,7 +281,7 @@ def kolmogorov_certificate(
         d=d,
         eps=eps,
         rho=rho,
-        samples=int(m),
+        samples=m,
         param_cap=param_cap,
         R_cap=R_cap,
         depth=depth,

@@ -8,6 +8,7 @@ seeds; identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 import time
@@ -138,13 +139,8 @@ def cmd_certify(args) -> int:
         raise UsageError("rho must lie in (0, 1)")
     if args.d < 1:
         raise UsageError("d must be a positive integer")
-    if args.family == "put":
-        fam = put_family()
-    else:
-        fam = ApproximationFamily(
-            c=args.c, nu=args.nu, alpha=args.alpha, beta=args.beta,
-            gamma=args.gamma, kappa=args.kappa, lmbda=args.lmbda,
-        )
+    fam = ApproximationFamily(**{f.name: getattr(args, f.name)
+                                 for f in dataclasses.fields(ApproximationFamily)})
     cert = kolmogorov_certificate(
         args.d, args.eps, args.rho, fam, Architecture((args.d, 1, 1, 1)), C=args.C, D=args.D
     )
@@ -353,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--C", type=float, default=1.0, help="scale constant (existential; default 1)")
     p.add_argument("--D", type=float, default=1.0)
-    p.add_argument("--family", choices=["put", "custom"], default="put")
-    for name, default in [("c", 6.0), ("nu", 0.5), ("alpha", 0.0), ("beta", 0.0),
-                          ("gamma", 1.0), ("kappa", 0.0), ("lmbda", 0.0)]:
+    for name, default in dataclasses.asdict(put_family()).items():
         p.add_argument(f"--{name}", type=float, default=default)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_certify)

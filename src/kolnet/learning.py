@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .nets import Architecture, ClippedNetwork, Parametrization
-from .sde import KolmogorovProblem, terminal_values
+from .nets import Architecture, ClippedNetwork, Parametrization, _forward
+from .sde import KolmogorovProblem, payoff_samples
 
 __all__ = [
     "Dataset",
@@ -49,33 +49,14 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-# Rows per label block of generate_dataset.  A multiple of nets._CHUNK_ROWS,
-# so the payoff pass chunks as over the whole dataset, and large enough that
-# no Euler block holds a single path (gemv bits) unless m = 1.
-_BLOCK_ROWS = 1 << 14
-
-
 def generate_dataset(problem: KolmogorovProblem, m: int, seed: int) -> Dataset:
-    """i.i.d. pairs: X uniform on the hypercube, Y the clipped payoff at S_T^X.
-
-    Labels are computed in blocks of _BLOCK_ROWS rows (the last block takes
-    the remainder), so working memory is the dataset plus one block.  Path i
-    draws on its own stream, so every label is as in one unblocked pass.
-    """
+    """i.i.d. pairs: X uniform on the hypercube, Y the clipped payoff at S_T^X,
+    sampled by ``sde.payoff_samples`` on the seed child_seeds(seed, 1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     x_key = rng.stream_key(rng.child_seeds(seed, 0))
     X = rng.hypercube(x_key, m, problem.dim, problem.u, problem.v)
-    Y = np.empty(m)
-    path_seed = rng.child_seeds(seed, 1)
-    payoff = problem.clipped_payoff
-    blocks = max(1, m // _BLOCK_ROWS)
-    for b in range(blocks):
-        lo = b * _BLOCK_ROWS
-        hi = m if b == blocks - 1 else lo + _BLOCK_ROWS
-        keys = rng.stream_key(rng.child_seeds(path_seed, np.arange(lo, hi)))
-        Y[lo:hi] = payoff(terminal_values(problem, X[lo:hi], keys))
-    return Dataset(X, Y)
+    return Dataset(X, payoff_samples(problem, X, rng.child_seeds(seed, 1)))
 
 
 def _squared_residuals(f: ClippedNetwork, points: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -156,25 +137,17 @@ def _init_params(arch: Architecture, gen: np.random.Generator, constant_only: bo
     return theta
 
 
-def _forward_backward(Ws, Bs, gWs, gBs, X, Y, D, acts, deltas):
-    """Quadratic loss on clipped output: returns the batch risk, writes the
-    gradients into gWs, gBs.
+def _forward_backward(layers, gWs, gBs, X, Y, D, acts, deltas):
+    """Quadratic loss on the clipped output of the (W, B) ``layers``: returns
+    the batch risk, writes the gradients into gWs, gBs.
 
     acts[l] and deltas[l] are (batch, a_{l+1}) work buffers for layer l+1's
     activation (the pre-activation for the output layer) and its
     back-propagated residual.  The clip passes gradient 1 strictly inside
     (-D, D) and 0 outside (subgradient 0 at the kink).
     """
-    h = X
-    last = len(Ws) - 1
-    for l, (W, B) in enumerate(zip(Ws, Bs)):
-        z = acts[l]
-        np.matmul(h, W.T, out=z)
-        z += B
-        if l != last:
-            np.maximum(z, 0.0, out=z)
-        h = z
-    raw = acts[last][:, 0]
+    last = len(layers) - 1
+    raw = _forward(layers, X, acts)[:, 0]
     res = np.clip(raw, -D, D) - Y
     risk = float(np.mean(res**2))
     deltas[last][:, 0] = np.where(np.abs(raw) < D, 2.0 * res / X.shape[0], 0.0)
@@ -184,9 +157,9 @@ def _forward_backward(Ws, Bs, gWs, gBs, X, Y, D, acts, deltas):
         np.sum(dz, axis=0, out=gBs[l])
         if l > 0:
             if l == last:  # output width 1: dz @ W is an outer product
-                np.multiply(dz, Ws[l], out=deltas[l - 1])
+                np.multiply(dz, layers[l][0], out=deltas[l - 1])
             else:
-                np.matmul(dz, Ws[l], out=deltas[l - 1])
+                np.matmul(dz, layers[l][0], out=deltas[l - 1])
             deltas[l - 1] *= acts[l - 1] > 0
     return risk
 
@@ -213,7 +186,7 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
     gen = np.random.default_rng(np.random.PCG64(config.seed))
     theta = _init_params(arch, gen, config.constant_only)
     grad = np.empty_like(theta)
-    Ws, Bs = _layer_views(theta, arch.widths)
+    layers = tuple(zip(*_layer_views(theta, arch.widths)))
     gWs, gBs = _layer_views(grad, arch.widths)
     batch = min(config.batch_size, data.m)
     X = np.empty((batch, data.d))
@@ -227,7 +200,7 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
     R = config.parameter_bound
 
     def full_risk():
-        net = ClippedNetwork(Parametrization(tuple(zip(Ws, Bs))), D)
+        net = ClippedNetwork(Parametrization(layers), D)
         return empirical_risk(net, data)
 
     divergence_cap = 4.0 * D * D + 1.0
@@ -239,7 +212,7 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
         idx = gen.integers(0, data.m, size=batch)
         np.take(data.inputs, idx, axis=0, out=X)
         np.take(data.labels, idx, out=Y)
-        risk = _forward_backward(Ws, Bs, gWs, gBs, X, Y, D, acts, deltas)
+        risk = _forward_backward(layers, gWs, gBs, X, Y, D, acts, deltas)
         if not np.isfinite(risk) or risk > divergence_cap:
             raise RuntimeError(
                 f"training diverged at iteration {it} (batch risk {risk}); trace: {trace}"

@@ -137,40 +137,50 @@ def _chunk_rows(widths: tuple) -> int:
     return _CHUNK_ROWS * max(1, _CHUNK_ENTRIES // (_CHUNK_ROWS * max(widths[1:])))
 
 
+def _row_blocks(n: int, rows: int):
+    """(lo, hi) ranges of ``rows`` rows covering range(n); the last takes the remainder."""
+    blocks = max(1, n // rows)
+    for b in range(blocks):
+        yield b * rows, n if b == blocks - 1 else (b + 1) * rows
+
+
+def _forward(layers, X: np.ndarray, bufs) -> np.ndarray:
+    """ReLU forward pass of X through (W, B) ``layers``, layer l into ``bufs[l]``;
+    returns the last buffer, the output layer's pre-activation."""
+    h, last = X, len(layers) - 1
+    for l, (W, B) in enumerate(layers):
+        z = bufs[l]
+        if W.ndim == 3:
+            blocks, out_w, in_w = W.shape
+            np.einsum("rji,joi->rjo", h.reshape(len(h), blocks, in_w), W,
+                      out=z.reshape(len(h), blocks, out_w))
+        else:
+            np.matmul(h, W.T, out=z)
+        z += B
+        if l != last:
+            np.maximum(z, 0.0, out=z)
+        h = z
+    return h
+
+
 def evaluate(params: Parametrization, X: np.ndarray) -> np.ndarray:
     """Batch forward pass: X is (n, a_0), result is (n, a_L).
 
-    Rows go through in fixed chunks (the last one up to twice as long); each
-    hidden layer's chunk buffer is allocated once and reused, so working
-    memory is O(chunk * width), not O(n * width).  Every row comes out as in
-    an unchunked pass.
+    Rows go through in fixed chunks (see _row_blocks); each hidden layer's
+    chunk buffer is allocated once and reused, so working memory is
+    O(chunk * width), not O(n * width).  Every row comes out as in an
+    unchunked pass.
     """
     X = np.asarray(X, dtype=np.float64)
     widths = params.architecture.widths
     if X.ndim != 2 or X.shape[1] != widths[0]:
         raise ValueError(f"input has shape {X.shape}, expected (n, {widths[0]})")
-    n, rows = X.shape[0], _chunk_rows(widths)
-    chunks = max(1, n // rows)
-    tail_lo = (chunks - 1) * rows
-    out = np.empty((n, widths[-1]))
-    hidden = [np.empty((n - tail_lo, w)) for w in widths[1:-1]]
-    last = len(params.layers) - 1
-    for c in range(chunks):
-        lo = c * rows
-        hi = n if c == chunks - 1 else lo + rows
-        h = X[lo:hi]
-        for l, (W, B) in enumerate(params.layers):
-            z = out[lo:hi] if l == last else hidden[l][: hi - lo]
-            if W.ndim == 3:
-                blocks, out_w, in_w = W.shape
-                np.einsum("rji,joi->rjo", h.reshape(hi - lo, blocks, in_w), W,
-                          out=z.reshape(hi - lo, blocks, out_w))
-            else:
-                np.matmul(h, W.T, out=z)
-            z += B
-            if l != last:
-                np.maximum(z, 0.0, out=z)
-            h = z
+    chunks = list(_row_blocks(X.shape[0], _chunk_rows(widths)))
+    longest = chunks[-1][1] - chunks[-1][0]
+    out = np.empty((X.shape[0], widths[-1]))
+    hidden = [np.empty((longest, w)) for w in widths[1:-1]]
+    for lo, hi in chunks:
+        _forward(params.layers, X[lo:hi], [z[: hi - lo] for z in hidden] + [out[lo:hi]])
     return out
 
 

@@ -5,7 +5,8 @@ are affine in the state, which makes every Euler step (and the exact
 geometric-Brownian terminal map) affine in the initial value.  The terminal
 value therefore has a pathwise representation S_T^x = M x + N that
 ``extract_affine_batch`` recovers by coupling d+1 paths on the same stream.
-``terminal_values`` is the one sampling kernel every caller goes through.
+``terminal_values`` is the one sampling kernel every caller goes through, and
+``payoff_samples`` the one Monte-Carlo batch of payoffs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .nets import ClippedNetwork, Parametrization, load_network, put_payoff_network
+from .nets import ClippedNetwork, Parametrization, _row_blocks, load_network, put_payoff_network
 
 __all__ = [
     "AffineCoefficients",
@@ -26,6 +27,7 @@ __all__ = [
     "gbm_coefficients",
     "terminal_values",
     "extract_affine_batch",
+    "payoff_samples",
     "mc_feynman_kac",
     "mc_reference_grid",
     "load_problem",
@@ -37,6 +39,11 @@ __all__ = [
 # Paths per Euler chunk.  It bounds the working set and never changes the
 # result; 4096 sat at the flat bottom of a timing sweep over 512-16384 paths.
 _EULER_CHUNK = 4096
+
+# Rows per payoff_samples block.  A multiple of nets._CHUNK_ROWS, so blocks
+# start on BLAS's row blocking as evaluate's chunks do, and large enough that
+# no Euler block holds a single path (gemv bits) unless n = 1.
+_BLOCK_ROWS = 1 << 14
 
 # Largest dimension a problem file may declare: a 'gbm' line expands into
 # d+1 dense d x d diffusion matrices, (d+1) d^2 floats (135 MB at d = 256).
@@ -305,20 +312,32 @@ def extract_affine_batch(problem: KolmogorovProblem, seeds: np.ndarray):
     return M, N
 
 
+def payoff_samples(problem: KolmogorovProblem, X0, seed) -> np.ndarray:
+    """Clipped payoffs phi(S_T), (n,): path i starts at X0[i] on stream
+    stream_key(child_seeds(seed, i)).
+
+    Paths run in blocks of _BLOCK_ROWS (see nets._row_blocks), so working
+    memory is the result plus one block; every value is as in one pass.
+    """
+    Y = np.empty(len(X0))
+    payoff = problem.clipped_payoff
+    for lo, hi in _row_blocks(len(X0), _BLOCK_ROWS):
+        keys = rng.stream_key(rng.child_seeds(seed, np.arange(lo, hi)))
+        Y[lo:hi] = payoff(terminal_values(problem, X0[lo:hi], keys))
+    return Y
+
+
 def mc_feynman_kac(problem: KolmogorovProblem, x, n_paths: int, seed: int):
     """Monte-Carlo estimate of E[payoff(S_T^x)] with its standard error.
 
-    Paths use independent substreams derived from the master seed; the mean
-    is reduced with numpy's pairwise summation, so the result is
-    reproducible regardless of how path work would be distributed.
+    The paths are ``payoff_samples`` from x on ``seed``; the mean is reduced
+    with numpy's pairwise summation, so the result is reproducible
+    regardless of how path work would be distributed.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    path_seeds = rng.child_seeds(seed, np.arange(n_paths))
-    keys = rng.stream_key(path_seeds)
-    S = terminal_values(problem, np.tile(x, (n_paths, 1)), keys)
-    Y = problem.clipped_payoff(S)
+    Y = payoff_samples(problem, np.broadcast_to(x, (n_paths, len(x))), seed)
     est = float(np.mean(Y))
     se = float(np.std(Y, ddof=1) / np.sqrt(n_paths))
     return est, se

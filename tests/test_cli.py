@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from kolnet import cli, constructive, sde
+from kolnet.bounds import kolmogorov_certificate, put_family
 from kolnet.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from kolnet.nets import ClippedNetwork, Parametrization, evaluate, save_network
+from kolnet.nets import Architecture, ClippedNetwork, Parametrization, evaluate, save_network
 from kolnet.sde import load_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -58,6 +59,21 @@ def test_certify_deterministic(tmp_path):
             "--out-dir", str(d),
         ]) == EXIT_OK
     assert (a_dir / "certificate.csv").read_bytes() == (b_dir / "certificate.csv").read_bytes()
+
+
+def test_certify_reads_every_family_flag(tmp_path):
+    def rows(*flags):
+        out = tmp_path / ("_".join(flags) or "defaults")
+        argv = ["certify", "--d", "5", "--eps", "0.01", "--rho", "0.05", *flags, "--out-dir", str(out)]
+        assert run(argv) == EXIT_OK
+        return dict(line.split(",", 1) for line in (out / "certificate.csv").read_text().splitlines()[2:])
+
+    cert = kolmogorov_certificate(5, 0.01, 0.05, put_family(), Architecture((5, 1, 1, 1)), C=1.0)
+    defaults = rows()
+    assert defaults == {q: f'{v},"{formula}"' for q, v, formula in cert.rows()}
+    assert rows("--nu", "2")["P(a)"] != defaults["P(a)"]
+    assert run(["certify", "--d", "5", "--eps", "0.01", "--rho", "0.05", "--family", "put",
+                "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------

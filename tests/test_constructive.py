@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo network builder and its size/norm guarantees."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from kolnet.sde import (
     AffineCoefficients,
     KolmogorovProblem,
     gbm_coefficients,
+    load_problem,
 )
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def zero_coeffs(d):
@@ -114,6 +118,15 @@ def test_build_report_bounds_hold():
     assert report.bounds.theta_norm == built.max_norm()
     assert report.bounds.max_width == built.architecture.max_width
     assert len(report.retry_errors) == 2
+
+
+def test_basket_d5_build_is_all_ok():
+    # The put payoff's widest layer is its d = 5 input, so the built network
+    # is n wide, below the width cap n * max_width(b) = 5n.
+    prob = load_problem(PROBLEMS / "basket_put_d5.txt")
+    _, report = build_mc_network(prob, BuildSpec(n=64, grid_size=8, ref_paths=100))
+    assert report.bounds.all_ok
+    assert report.bounds.max_width == 64 < report.bounds.width_cap == 320
 
 
 def test_build_report_csv(tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kolnet import learning, rng
+from kolnet import rng, sde
 from kolnet.analytic import capped_put_variance_uniform, lognormal_capped_put
 from kolnet.learning import (
     Dataset,
@@ -99,7 +99,7 @@ def test_dataset_regeneration_identical():
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
-BLOCK = learning._BLOCK_ROWS
+BLOCK = sde._BLOCK_ROWS
 
 
 def block_edge_problems():
@@ -127,6 +127,32 @@ def test_dataset_blocks_match_one_shot_labels(name, m):
     x_key = rng.stream_key(rng.child_seeds(21, 0))
     assert np.array_equal(data.inputs, rng.hypercube(x_key, m, prob.dim, prob.u, prob.v))
     assert np.array_equal(data.labels, want)
+
+
+@pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 123])
+@pytest.mark.parametrize("name", ["gbm_basket", "euler", "hidden_64_payoff"])
+def test_mc_feynman_kac_blocks_match_one_shot(name, n):
+    # The reference shares the label sampler's blocks; (est, se) must equal
+    # the one-shot formula on n copies of x.
+    prob = block_edge_problems()[name]
+    x = prob.u + (prob.v - prob.u) * np.linspace(0.1, 0.6, prob.dim)
+    keys = rng.stream_key(rng.child_seeds(33, np.arange(n)))
+    Y = prob.clipped_payoff(terminal_values(prob, np.tile(x, (n, 1)), keys))
+    assert sde.mc_feynman_kac(prob, x, n, 33) == (np.mean(Y), np.std(Y, ddof=1) / np.sqrt(n))
+
+
+def test_mc_feynman_kac_memory_is_bounded():
+    # 200,000 paths on the d = 5 basket hold the payoffs (1.5 MiB) and one
+    # block; the (n, d) copy of x and all n terminal values took 19.3 MiB.
+    prob = load_problem(PROBLEMS / "basket_put_d5.txt")
+    sde.mc_feynman_kac(prob, np.ones(5), 10, seed=0)
+    tracemalloc.start()
+    try:
+        sde.mc_feynman_kac(prob, np.ones(5), 200_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_dataset_memory_is_bounded():
