@@ -125,20 +125,20 @@ class Parametrization:
         return self.max_norm() <= R
 
 
-# A chunk is a multiple of _CHUNK_ROWS rows, so chunks start on BLAS's row
-# blocking, widened for narrow nets up to _CHUNK_ENTRIES entries per layer
-# buffer.  The last chunk takes the remainder because BLAS rounds differently
-# for small row counts: no matmul sees fewer rows than a chunk unless X does.
+# Rows per evaluate chunk; a multiple of it starts on BLAS's row blocking.
 _CHUNK_ROWS = 1024
-_CHUNK_ENTRIES = 1 << 16
-
-
-def _chunk_rows(widths: tuple) -> int:
-    return _CHUNK_ROWS * max(1, _CHUNK_ENTRIES // (_CHUNK_ROWS * max(widths[1:])))
 
 
 def _row_blocks(n: int, rows: int):
-    """(lo, hi) ranges of ``rows`` rows covering range(n); the last takes the remainder."""
+    """(lo, hi) ranges of ``rows`` rows covering range(n); the last takes the remainder.
+
+    This is the one rule that batches rows for BLAS: no block is shorter
+    than ``rows`` unless the whole batch is.  BLAS may round a small batch
+    differently from a large one (a single row goes through gemv, a few
+    through small-matrix kernels), so a ``rows`` of 2 keeps gemv out and
+    one of _CHUNK_ROWS keeps every block on the large-batch kernels: a
+    row's value then does not depend on where the blocks fall.
+    """
     blocks = max(1, n // rows)
     for b in range(blocks):
         yield b * rows, n if b == blocks - 1 else (b + 1) * rows
@@ -166,8 +166,8 @@ def _forward(layers, X: np.ndarray, bufs) -> np.ndarray:
 def evaluate(params: Parametrization, X: np.ndarray) -> np.ndarray:
     """Batch forward pass: X is (n, a_0), result is (n, a_L).
 
-    Rows go through in fixed chunks (see _row_blocks); each hidden layer's
-    chunk buffer is allocated once and reused, so working memory is
+    Rows go through in chunks of _CHUNK_ROWS (see _row_blocks); each hidden
+    layer's chunk buffer is allocated once and reused, so working memory is
     O(chunk * width), not O(n * width).  Every row comes out as in an
     unchunked pass.
     """
@@ -175,7 +175,7 @@ def evaluate(params: Parametrization, X: np.ndarray) -> np.ndarray:
     widths = params.architecture.widths
     if X.ndim != 2 or X.shape[1] != widths[0]:
         raise ValueError(f"input has shape {X.shape}, expected (n, {widths[0]})")
-    chunks = list(_row_blocks(X.shape[0], _chunk_rows(widths)))
+    chunks = list(_row_blocks(X.shape[0], _CHUNK_ROWS))
     longest = chunks[-1][1] - chunks[-1][0]
     out = np.empty((X.shape[0], widths[-1]))
     hidden = [np.empty((longest, w)) for w in widths[1:-1]]

@@ -40,9 +40,8 @@ __all__ = [
 # result; 4096 sat at the flat bottom of a timing sweep over 512-16384 paths.
 _EULER_CHUNK = 4096
 
-# Rows per payoff_samples block.  A multiple of nets._CHUNK_ROWS, so blocks
-# start on BLAS's row blocking as evaluate's chunks do, and large enough that
-# no Euler block holds a single path (gemv bits) unless n = 1.
+# Rows per payoff_samples block, a multiple of nets._CHUNK_ROWS (see
+# nets._row_blocks).
 _BLOCK_ROWS = 1 << 14
 
 # Largest dimension a problem file may declare: a 'gbm' line expands into
@@ -193,20 +192,6 @@ def _usable_cpus() -> int:
     return cpus if quota is None else min(cpus, quota)
 
 
-def _euler_chunks(n: int, workers: int) -> list:
-    """(lo, hi) path ranges: a multiple of ``workers`` chunks of at most
-    _EULER_CHUNK paths whose sizes differ by at most one.
-
-    No chunk holds a single path unless n is 1, so below 2 * workers paths
-    there are fewer chunks: numpy multiplies by a one-column state with
-    gemv, whose last bits differ from gemm's.
-    """
-    count = workers * max(1, -(-n // (workers * _EULER_CHUNK)))
-    count = min(count, max(1, n // 2))
-    edges = [n * i // count for i in range(count + 1)]
-    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     """Terminal values S_T for a batch of paths; path i starts at X0[i] on stream keys[i].
@@ -215,8 +200,8 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     log-normal draws for diagonal GBM, Euler-Maruyama with ``problem.steps``
     steps otherwise.  Step k of path i draws its d normals at counters
     (keys[i], k*d + j), so a path's value does not depend on the batch it
-    is in, unless the batch is that path alone (see _euler_chunks).  Euler
-    chunks of paths run on one thread per usable CPU, at most one per
+    is in, unless the batch is that path alone (see nets._row_blocks).
+    Euler chunks of paths run on one thread per usable CPU, at most one per
     _EULER_CHUNK // 2 paths, in a pool that is joined before the call
     returns; since a path's bits do not depend on its chunk, neither does
     the result.
@@ -282,7 +267,9 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     # paths: every thread runs the Python loop of each step under the GIL and
     # holds its own BLAS buffer, so a small batch gains nothing from more.
     workers = max(1, min(_usable_cpus(), -(-n // (_EULER_CHUNK // 2))))
-    chunks = _euler_chunks(n, workers)
+    # Chunks of n // count <= _EULER_CHUNK paths, count a multiple of ``workers``.
+    count = workers * max(1, -(-n // (workers * _EULER_CHUNK)))
+    chunks = _row_blocks(n, max(2, n // count))
     if workers > 1:
         # Leaving the block joins the threads, so none outlives the call.
         with ThreadPoolExecutor(workers, thread_name_prefix="kolnet-euler") as pool:

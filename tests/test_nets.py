@@ -654,20 +654,21 @@ def chunked_cases():
     return {
         "dense": random_params((3, 40, 70, 2), seed=35),
         "block": compose_average(random_params((3, 4, 5, 3, 1), seed=36), *maps),
+        "narrow": put_payoff_network([0.2, 0.3, 0.5], 1.0),  # widths (3, 1, 1, 1)
     }
 
 
-@pytest.mark.parametrize("case", ["dense", "block"])
+@pytest.mark.parametrize("case", ["dense", "block", "narrow"])
 def test_evaluate_chunks_match_unchunked_forward(case):
     params = chunked_cases()[case]
-    rows = nets._chunk_rows(params.architecture.widths)
+    rows = nets._CHUNK_ROWS
     X = np.random.RandomState(37).uniform(-2, 2, size=(2 * rows + 3, 3))
     got = evaluate(params, X)
     assert got.shape == (2 * rows + 3, params.architecture.output_width)
     assert np.array_equal(got, unchunked_forward(params, X))
 
 
-@pytest.mark.parametrize("case", ["dense", "block"])
+@pytest.mark.parametrize("case", ["dense", "block", "narrow"])
 def test_evaluate_zero_rows(case):
     params = chunked_cases()[case]
     assert evaluate(params, np.zeros((0, 3))).shape == (0, params.architecture.output_width)

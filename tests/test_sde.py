@@ -4,6 +4,7 @@ Monte-Carlo expectation oracle."""
 import multiprocessing
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from kolnet.sde import (
     SimulationError,
     extract_affine_batch,
     gbm_coefficients,
+    load_problem,
     mc_feynman_kac,
     mc_reference_grid,
     problem_from_text,
@@ -287,15 +289,38 @@ def test_euler_kernel_bit_identical_to_path_major_loop(workers, n):
     assert np.array_equal(got, path_major_euler(prob, X0, keys))
 
 
-def test_extract_affine_batch_across_chunk_boundary():
-    # d=2 gives 3 rows per map, so the map at the first chunk boundary has
-    # its rows split between two chunks.
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path", ["bench/problems/euler_basket_d5.txt", "problems/basket_put_d5.txt"])
+def test_empty_batch(path):
+    prob = load_problem(REPO / path)
+    assert prob.gbm_flag == path.startswith("problems/")
+    X0 = np.empty((0, prob.dim))
+    assert terminal_values(prob, X0, np.empty(0, dtype=np.uint64)).shape == (0, prob.dim)
+    assert sde.payoff_samples(prob, X0, 3).shape == (0,)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+def test_extract_affine_batch_across_chunk_boundary(workers, monkeypatch):
+    # d=2 gives 3 rows per map.  At 1,367 maps (4,101 paths) a chunk edge
+    # falls inside a map on every worker count: at path 2,050 on 1 and 2
+    # workers, at paths 1,367 and 2,734 on 3.
     d = 2
     prob = generic_problem(random_affine_coeffs(d, seed=6), d=d, steps=16)
-    boundary = sde._EULER_CHUNK // (d + 1)
-    seeds = np.arange(boundary + 3)
+    blocks, row_blocks = [], sde._row_blocks
+
+    def recorded(n, rows):
+        ranges = list(row_blocks(n, rows))
+        blocks.extend(ranges)
+        return ranges
+
+    monkeypatch.setattr(sde, "_row_blocks", recorded)
+    seeds = np.arange(1367)
     Ms, Ns = extract_affine_batch(prob, seeds)
-    for j in (0, boundary - 1, boundary, boundary + 1, len(seeds) - 1):
+    split = [lo // (d + 1) for lo, _ in blocks if lo % (d + 1)]
+    assert split, blocks
+    for j in sorted({0, len(seeds) - 1} | {k + s for k in split for s in (-1, 0, 1)}):
         M, N = extract_affine_batch(prob, seeds[j : j + 1])
         assert np.array_equal(Ms[j], M[0]), j
         assert np.array_equal(Ns[j], N[0]), j
