@@ -31,8 +31,9 @@ class Dataset:
     labels: np.ndarray  # (m,)
 
     def __post_init__(self):
-        X = np.asarray(self.inputs, dtype=np.float64)
-        Y = np.asarray(self.labels, dtype=np.float64)
+        # Views, so that freezing them leaves the caller's arrays writeable.
+        X = np.asarray(self.inputs, dtype=np.float64).view()
+        Y = np.asarray(self.labels, dtype=np.float64).view()
         if X.ndim != 2 or Y.shape != (X.shape[0],):
             raise ValueError("inputs must be (m, d) and labels (m,)")
         X.flags.writeable = False

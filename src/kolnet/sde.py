@@ -12,6 +12,7 @@ value therefore has a pathwise representation S_T^x = M x + N that
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +40,10 @@ __all__ = [
 # Paths per Euler chunk.  It bounds the working set and never changes the
 # result; 4096 sat at the flat bottom of a timing sweep over 512-16384 paths.
 _EULER_CHUNK = 4096
+
+# Normals a reference point must draw to get a pool thread of its own: on 2
+# vCPUs a 64-point d = 5 GBM grid gained nothing at 20,000, ~30% from 40,000.
+_POINT_DRAWS = 1 << 15
 
 # Rows per payoff_samples block, a multiple of nets._CHUNK_ROWS (see
 # nets._row_blocks).
@@ -181,15 +186,32 @@ def _cpu_quota() -> int | None:
     return -(-quota // period) if quota > 0 and period > 0 else None
 
 
+_POOL_THREAD = "kolnet-pool"  # name prefix of _pool_map's threads
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: the affinity mask (taskset, cgroup
-    cpusets), bounded by a cgroup CPU quota."""
+    cpusets), bounded by a cgroup CPU quota; 1 on a _pool_map thread, so a
+    call made from one runs inline instead of nesting a second pool."""
+    if threading.current_thread().name.startswith(_POOL_THREAD):
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
         cpus = os.cpu_count() or 1
     quota = _cpu_quota()
     return cpus if quota is None else min(cpus, quota)
+
+
+def _pool_map(fn, items, workers: int) -> list:
+    """``list(map(fn, items))`` on ``workers`` threads of a pool made for this
+    call and joined before it returns, so no thread outlives it; inline for
+    one worker.  Results keep the order of ``items``, and the first failing
+    item's exception is raised."""
+    if workers <= 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(workers, thread_name_prefix=_POOL_THREAD) as pool:
+        return list(pool.map(fn, items))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -201,10 +223,9 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     steps otherwise.  Step k of path i draws its d normals at counters
     (keys[i], k*d + j), so a path's value does not depend on the batch it
     is in, unless the batch is that path alone (see nets._row_blocks).
-    Euler chunks of paths run on one thread per usable CPU, at most one per
-    _EULER_CHUNK // 2 paths, in a pool that is joined before the call
-    returns; since a path's bits do not depend on its chunk, neither does
-    the result.
+    Euler chunks of paths run through _pool_map on one thread per usable
+    CPU, at most one per _EULER_CHUNK // 2 paths; since a path's bits do
+    not depend on its chunk, neither does the result.
     Overflow raises no numpy warning: the isfinite checks turn it into
     SimulationError, at the earliest non-finite step over all paths.
     """
@@ -245,20 +266,21 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
         step, or ``steps`` if they stay finite."""
         lo, hi = bounds
         X = np.array(X0[lo:hi].T, dtype=np.float64, order="C")
+        drift, diff, finite = np.empty_like(X), np.empty_like(X), np.empty(X.shape, bool)
+        P = np.empty(((d + 1) * d, hi - lo))
+        P3 = P.reshape(d + 1, d, -1)  # P3[i] = C_i dB
         for k in range(steps):
             dB = rng.gaussians(keys[None, lo:hi], k * d + coords)
             dB *= sqdt
-            drift = co.A @ X
+            np.matmul(co.A, X, out=drift)
             drift += b
             drift *= dt
-            P = (C @ dB).reshape(d + 1, d, -1)  # P[i] = C_i dB
-            P[1:] *= X[:, None, :]
-            diff = P[0]
-            for i in range(1, d + 1):
-                diff += P[i]
+            np.matmul(C, dB, out=P)
+            P3[1:] *= X[:, None, :]
+            np.add.reduce(P3, axis=0, out=diff)  # P3[0] + P3[1] + ..., in that order
             X += drift
             X += diff
-            if not np.all(np.isfinite(X)):
+            if not np.isfinite(X, out=finite).all():
                 return k
         out[lo:hi] = X.T
         return steps
@@ -269,13 +291,7 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     workers = max(1, min(_usable_cpus(), -(-n // (_EULER_CHUNK // 2))))
     # Chunks of n // count <= _EULER_CHUNK paths, count a multiple of ``workers``.
     count = workers * max(1, -(-n // (workers * _EULER_CHUNK)))
-    chunks = _row_blocks(n, max(2, n // count))
-    if workers > 1:
-        # Leaving the block joins the threads, so none outlives the call.
-        with ThreadPoolExecutor(workers, thread_name_prefix="kolnet-euler") as pool:
-            bad_step = min(pool.map(chunk, chunks))  # re-raises a chunk's exception
-    else:
-        bad_step = min(map(chunk, chunks))
+    bad_step = min(_pool_map(chunk, _row_blocks(n, max(2, n // count)), workers))
     if bad_step < steps:
         raise SimulationError(bad_step, f"non-finite state at Euler step {bad_step}")
     return out
@@ -332,11 +348,23 @@ def mc_feynman_kac(problem: KolmogorovProblem, x, n_paths: int, seed: int):
 
 def mc_reference_grid(problem: KolmogorovProblem, points, n_paths: int, seed: int):
     """Monte-Carlo reference at the rows of a (k, d) array: ``(estimates, std_errors)``,
-    two (k,) arrays, row i from mc_feynman_kac with seed child_seed(seed, i)."""
-    estimates, std_errors = np.empty(len(points)), np.empty(len(points))
-    for i, x in enumerate(points):
-        estimates[i], std_errors[i] = mc_feynman_kac(problem, x, n_paths, rng.child_seed(seed, i))
-    return estimates, std_errors
+    two (k,) arrays, row i from mc_feynman_kac with seed child_seed(seed, i).
+
+    Points of at least _POINT_DRAWS normals run in whole rounds, one per
+    usable CPU, on one pool, each point's paths inline on its thread; the
+    rest run in turn, each with its own Euler chunk pool, so a grid of fewer
+    points than CPUs keeps its per-point parallelism.  A point's value does
+    not depend on its thread, so neither does the result."""
+
+    def point(i):
+        return mc_feynman_kac(problem, points[i], n_paths, rng.child_seed(seed, i))
+
+    draws = n_paths * problem.dim * (1 if problem.gbm_flag else problem.steps)
+    workers = _usable_cpus() if draws >= _POINT_DRAWS else 1
+    pooled = len(points) - len(points) % workers
+    pairs = _pool_map(point, range(pooled), min(workers, pooled))
+    pairs += [point(i) for i in range(pooled, len(points))]
+    return np.array([e for e, _ in pairs]), np.array([s for _, s in pairs])
 
 
 def problem_from_text(text: str, base_dir=".", source="<problem>") -> KolmogorovProblem:

@@ -255,10 +255,13 @@ def test_simulate_reproducible(tmp_path):
 
 
 def test_simulate_euler_same_bytes_at_one_and_two_workers(tmp_path, monkeypatch):
-    # At 2 workers the 3,000 paths of each point run as two pooled chunks.
+    # At 2 CPUs points 0 and 1 run on two pool threads and point 2 as two
+    # pooled Euler chunks; at 1 CPU every point runs in turn on this thread.
     argv = ["simulate", str(EULER_BASKET_D5), "--seed", "4", "--grid", "3", "--paths", "3000"]
+    monkeypatch.setattr(sde, "_cpu_quota", lambda: None)
     for workers in (1, 2):
-        monkeypatch.setattr(sde, "_usable_cpus", lambda w=workers: w)
+        monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid, w=workers: set(range(w)),
+                            raising=False)
         assert run(argv + ["--out-dir", str(tmp_path / str(workers))]) == EXIT_OK
     one, two = ((tmp_path / w / "reference.csv").read_bytes() for w in ("1", "2"))
     assert one == two

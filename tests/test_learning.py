@@ -170,6 +170,15 @@ def test_dataset_memory_is_bounded():
     assert peak - data.inputs.nbytes - data.labels.nbytes <= 4 * 2**20
 
 
+def test_dataset_freezes_its_own_views_not_the_callers_arrays():
+    X, Y = np.zeros((4, 2)), np.ones(4)
+    data = Dataset(X, Y)
+    assert X.flags.writeable and Y.flags.writeable
+    assert not data.inputs.flags.writeable and not data.labels.flags.writeable
+    X[0, 0], Y[0] = 2.0, 3.0  # the dataset shares the caller's memory
+    assert data.inputs[0, 0] == 2.0 and data.labels[0] == 3.0
+
+
 def test_dataset_rejects_empty():
     prob = put_problem()
     with pytest.raises(ValueError):

@@ -268,8 +268,11 @@ def test_cpu_quota_files(tmp_path, monkeypatch, files, quota):
 
 @pytest.fixture
 def workers(request, monkeypatch):
-    """Run the Euler kernel as on a machine with ``request.param`` usable CPUs."""
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: request.param)
+    """Run as on a machine with ``request.param`` usable CPUs.  The affinity
+    mask is patched, not _usable_cpus, so a pool thread still counts one."""
+    monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                        raising=False)
+    monkeypatch.setattr(sde, "_cpu_quota", lambda: None)
     return request.param
 
 
@@ -359,6 +362,17 @@ def test_simulation_error_names_earliest_step_over_all_chunks(workers):
     assert f"step {reference.value.step}" in str(got.value)
 
 
+def test_diffusion_sum_order_past_add_unroll(monkeypatch):
+    # d + 1 = 10 diffusion terms, past numpy's 8-wide add unroll: the
+    # reduction must still add them in order, as the path-major loop does.
+    d, n = 9, 40
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+    prob = generic_problem(random_affine_coeffs(d, seed=13, scale=0.1), d=d, steps=16)
+    X0 = np.random.RandomState(14).uniform(-1, 1, size=(n, d))
+    keys = rng.stream_key(rng.child_seeds(18, np.arange(n)))
+    assert np.array_equal(terminal_values(prob, X0, keys), path_major_euler(prob, X0, keys))
+
+
 @pytest.mark.parametrize("workers", [2], indirect=True)
 def test_pooled_divergence_raises_no_runtime_warning(workers):
     # np.errstate is thread-local, so the pool threads set their own.
@@ -407,15 +421,29 @@ def test_small_batch_runs_on_few_threads(workers, monkeypatch):
     assert threading.get_ident() not in threads
 
 
+def pool_threads_alive():
+    return [t.name for t in threading.enumerate() if t.name.startswith(sde._POOL_THREAD)]
+
+
 @pytest.mark.parametrize("workers", [2], indirect=True)
-def test_pooled_call_leaves_no_thread_alive(workers):
+def test_pooled_call_leaves_no_thread_alive(workers, monkeypatch):
+    # Euler chunks, then grid points: every draw of either call runs on a
+    # pool thread that carries the prefix the check looks for.
+    during, draw = [], rng.gaussians
+
+    def gaussians(keys, counters):
+        during.append(threading.current_thread().name)
+        return draw(keys, counters)
+
+    monkeypatch.setattr(rng, "gaussians", gaussians)
     prob = generic_problem(random_affine_coeffs(2, seed=12), d=2, steps=4)
     n = sde._EULER_CHUNK  # two chunks of _EULER_CHUNK // 2 paths, two threads
-    X0 = np.zeros((n, 2))
     keys = rng.stream_key(rng.child_seeds(8, np.arange(n)))
-    terminal_values(prob, X0, keys)
-    left = [t.name for t in threading.enumerate() if t.name.startswith("kolnet-euler")]
-    assert left == []
+    terminal_values(prob, np.zeros((n, 2)), keys)
+    assert pool_threads_alive() == []
+    mc_reference_grid(prob, np.zeros((4, 2)), n, seed=1)  # two rounds of the pool
+    assert pool_threads_alive() == []
+    assert during and all(name.startswith(sde._POOL_THREAD) for name in during)
 
 
 def _euler_in_child(prob, X0, keys, want):
@@ -573,6 +601,77 @@ def test_mc_reference_grid_empty_and_singleton():
     est, se = mc_reference_grid(prob, pts, 1000, seed=5)
     assert est.shape == se.shape == (1,)
     assert abs(est[0]) <= 1.0 and se[0] > 0
+
+
+GRID_PROBLEMS = ["bench/problems/euler_basket_d5.txt", "problems/basket_put_d5.txt"]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("path", GRID_PROBLEMS)
+def test_pooled_grid_matches_serial_loop(workers, path):
+    # At 7,000 paths a GBM point draws 35,000 normals, enough for a grid
+    # thread; Euler paths run as pooled chunks in the serial loop on 2 or 3
+    # CPUs, and as inline chunks on a grid thread.
+    prob = load_problem(REPO / path)
+    points = rng.hypercube(rng.stream_key(3), 5, prob.dim, prob.u, prob.v)
+    est, se = mc_reference_grid(prob, points, 7000, seed=9)
+    for i, x in enumerate(points):
+        e, s = mc_feynman_kac(prob, x, 7000, rng.child_seed(9, i))
+        assert (est[i], se[i]) == (e, s), i
+
+
+# (CPUs, problem, paths, points, points on the grid pool, thread counts of
+# the pools made in order).  3,000 Euler paths make a chunk pool of two
+# threads off the grid's pool: whole rounds of points share one grid pool,
+# the k mod CPUs left over each make their own chunk pool, and fewer points
+# than CPUs make no grid pool at all.  GBM paths make no chunk pool, and a
+# GBM point of 4,000 paths draws 20,000 normals, too few for a grid thread.
+@pytest.mark.parametrize(
+    "workers, path, n_paths, k, pooled, pools",
+    [(1, GRID_PROBLEMS[0], 3000, 5, 0, []),
+     (2, GRID_PROBLEMS[0], 3000, 4, 4, [2]),
+     (2, GRID_PROBLEMS[0], 3000, 5, 4, [2, 2]),
+     (3, GRID_PROBLEMS[0], 3000, 5, 3, [3, 2, 2]),
+     (3, GRID_PROBLEMS[0], 3000, 2, 0, [2, 2]),
+     (2, GRID_PROBLEMS[1], 4000, 4, 0, []),
+     (2, GRID_PROBLEMS[1], 7000, 5, 4, [2])],
+    indirect=["workers"],
+)
+def test_grid_pools_whole_rounds_and_never_nests(workers, path, n_paths, k, pooled, pools,
+                                                 monkeypatch):
+    made, on_points, fk = [], [], sde.mc_feynman_kac
+
+    class Counted(sde.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            assert not threading.current_thread().name.startswith(sde._POOL_THREAD)
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    def point(*args):
+        on_points.append((threading.current_thread().name, sde._usable_cpus()))
+        return fk(*args)
+
+    monkeypatch.setattr(sde, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(sde, "mc_feynman_kac", point)
+    prob = load_problem(REPO / path)
+    mc_reference_grid(prob, np.ones((k, prob.dim)), n_paths, seed=2)
+    assert made == pools
+    assert len(on_points) == k
+    assert all(name.startswith(sde._POOL_THREAD) and cpus == 1 for name, cpus in on_points[:pooled])
+    assert all(cpus == workers for _, cpus in on_points[pooled:])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+def test_grid_divergence_raises_that_points_earliest_step(workers):
+    prob = exploding_problem()
+    points = np.zeros((5, 1))
+    points[3] = 1.0  # the one point whose paths overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError) as reference:
+            mc_feynman_kac(prob, points[3], 600, rng.child_seed(6, 3))
+    with pytest.raises(SimulationError) as got:  # 600 * 64 normals a point, pooled
+        mc_reference_grid(prob, points, 600, seed=6)
+    assert got.value.step == reference.value.step
 
 
 def test_mc_reference_grid_matches_closed_form():
