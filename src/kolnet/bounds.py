@@ -169,11 +169,10 @@ def required_samples(eps: float, rho: float, spec: ClassSpec, approximation_form
 class ApproximationFamily:
     """Rates at which payoff networks approximate the initial values.
 
-    Constants (c, nu, alpha, beta, gamma, kappa, lmbda) with c >= 1 and
-    nu >= 1/2; tau = nu + 2*alpha is derived.
+    Exponents (nu, alpha, beta, gamma, kappa, lmbda) with nu >= 1/2;
+    tau = nu + 2*alpha is derived.
     """
 
-    c: float
     nu: float
     alpha: float = 0.0
     beta: float = 0.0
@@ -182,8 +181,6 @@ class ApproximationFamily:
     lmbda: float = 0.0
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ValueError("c must be >= 1")
         if self.nu < 0.5:
             raise ValueError("nu must be >= 1/2")
         if min(self.alpha, self.beta, self.gamma, self.kappa, self.lmbda) < 0:
@@ -196,16 +193,13 @@ class ApproximationFamily:
 
 def put_family() -> ApproximationFamily:
     """Exact-representation family of the capped basket put payoff."""
-    return ApproximationFamily(c=6.0, nu=0.5, alpha=0.0, beta=0.0, gamma=1.0, kappa=0.0, lmbda=0.0)
+    return ApproximationFamily(nu=0.5, alpha=0.0, beta=0.0, gamma=1.0, kappa=0.0, lmbda=0.0)
 
 
 @dataclass(frozen=True)
 class Certificate:
     """Numeric caps certified for a requested (eps, rho, d), with provenance."""
 
-    d: int
-    eps: float
-    rho: float
     samples: int
     param_cap: float
     R_cap: float
@@ -278,9 +272,6 @@ def kolmogorov_certificate(
         "m": "ceil(h(2/eps, ln(1/rho), ln(R*width), P(a), depth))",
     }
     return Certificate(
-        d=d,
-        eps=eps,
-        rho=rho,
         samples=m,
         param_cap=param_cap,
         R_cap=R_cap,
@@ -293,9 +284,7 @@ def kolmogorov_certificate(
 @dataclass(frozen=True)
 class ScalingAudit:
     slope: float
-    intercept: float
     r_squared: float
-    residuals: tuple
     threshold: float
 
     @property
@@ -321,15 +310,7 @@ def scaling_audit(results, threshold: float = 3.0) -> ScalingAudit:
     y = np.log(qs)
     A = np.column_stack([x, np.ones_like(x)])
     coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    fitted = A @ coef
-    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_res = float(np.sum((y - A @ coef) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return ScalingAudit(
-        slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        residuals=tuple((y - fitted).tolist()),
-        threshold=threshold,
-    )
+    return ScalingAudit(slope=float(coef[0]), r_squared=r2, threshold=threshold)

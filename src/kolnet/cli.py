@@ -133,10 +133,6 @@ def _score(problem: KolmogorovProblem, net: ClippedNetwork, args):
 
 
 def cmd_certify(args) -> int:
-    if not 0 < args.eps < 1:
-        raise UsageError("eps must lie in (0, 1)")
-    if not 0 < args.rho < 1:
-        raise UsageError("rho must lie in (0, 1)")
     if args.d < 1:
         raise UsageError("d must be a positive integer")
     fam = ApproximationFamily(**{f.name: getattr(args, f.name)
@@ -430,8 +426,10 @@ def _check_args(args) -> None:
         raise UsageError("--R needs --project")
     if project and R is None:
         raise UsageError("--project needs --R")
-    if R is not None and not 0 < R < np.inf:
-        raise UsageError("--R must be a positive finite number")
+    for name in ("R", "lr", "target", "threshold"):
+        value = getattr(args, name, None)
+        if value is not None and not 0 < value < np.inf:
+            raise UsageError(f"--{name} must be a positive finite number")
 
 
 def main(argv=None) -> int:

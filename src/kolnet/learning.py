@@ -165,6 +165,7 @@ def _forward_backward(layers, gWs, gBs, X, Y, D, acts, deltas):
     return risk
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run raises RuntimeError below
 def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
     """Approximate empirical risk minimization by minibatch Adam.
 

@@ -121,9 +121,6 @@ class Parametrization:
             max(np.abs(W).max(), np.abs(B).max() if B.size else 0.0) for W, B in self.layers
         )
 
-    def is_bounded_by(self, R: float) -> bool:
-        return self.max_norm() <= R
-
 
 # Rows per evaluate chunk; a multiple of it starts on BLAS's row blocking.
 _CHUNK_ROWS = 1024

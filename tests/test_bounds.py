@@ -251,7 +251,6 @@ def test_required_samples_approximation_form_doubles_x1():
 
 def test_put_family_constants():
     fam = put_family()
-    assert fam.c == 6.0
     assert fam.nu == 0.5
     assert fam.gamma == 1.0
     assert fam.alpha == fam.beta == fam.kappa == fam.lmbda == 0.0
@@ -259,15 +258,13 @@ def test_put_family_constants():
 
 
 def test_tau_recomputed():
-    fam = ApproximationFamily(c=1.0, nu=0.5, alpha=0.25)
+    fam = ApproximationFamily(nu=0.5, alpha=0.25)
     assert fam.tau == 1.0
 
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        ApproximationFamily(c=0.5, nu=0.5)
-    with pytest.raises(ValueError):
-        ApproximationFamily(c=1.0, nu=0.25)
+        ApproximationFamily(nu=0.25)
 
 
 def put_arch_of_delta(d):

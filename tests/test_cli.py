@@ -72,8 +72,9 @@ def test_certify_reads_every_family_flag(tmp_path):
     defaults = rows()
     assert defaults == {q: f'{v},"{formula}"' for q, v, formula in cert.rows()}
     assert rows("--nu", "2")["P(a)"] != defaults["P(a)"]
-    assert run(["certify", "--d", "5", "--eps", "0.01", "--rho", "0.05", "--family", "put",
-                "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    for flag in ("--family", "--c"):  # the family has no scale constant: --C is the one
+        assert run(["certify", "--d", "5", "--eps", "0.01", "--rho", "0.05", flag, "1",
+                    "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +207,19 @@ def test_non_positive_counts_are_usage_errors(tmp_path, capsys, argv):
         (["build", PUT_D1, "--n", "4", "--retries", "0"], ["--retries"]),
         (["evaluate", PUT_D1, "wide_in.txt"], ["wide_in.txt", PUT_D1]),
         (["evaluate", PUT_D1, "wide_out.txt"], ["wide_out.txt", PUT_D1]),
+        # A nan step size used to end as exit 3; -1 and 0 trained uphill or not at all.
+        (["train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--lr", "nan"], ["--lr "]),
+        (["train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--lr", "-1"], ["--lr "]),
+        (["train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--lr", "0"], ["--lr "]),
+        (["scaling-study", "--dims", "1,2,3", "--target", "0"], ["--target "]),
+        (["scaling-study", "--dims", "1,2,3", "--target", "nan"], ["--target "]),
+        (["scaling-study", "--dims", "1,2,3", "--threshold", "-1"], ["--threshold "]),
+        (["scaling-study", "--dims", "1,2,3", "--threshold", "inf"], ["--threshold "]),
     ],
     ids=["paths_one", "train_paths_one_closed_form", "arch_not_integer", "arch_zero_width",
          "arch_wrong_dimension", "dims_not_integer", "dims_zero", "build_n_zero", "build_retries_zero",
-         "evaluate_input_width", "evaluate_output_width"],
+         "evaluate_input_width", "evaluate_output_width", "lr_nan", "lr_negative", "lr_zero",
+         "target_zero", "target_nan", "threshold_negative", "threshold_infinite"],
 )
 def test_bad_arguments_name_their_flag_or_file(tmp_path, capsys, argv, needles):
     nets = {"wide_in.txt": (4, 3, 1), "wide_out.txt": (1, 3, 2)}
@@ -242,6 +252,21 @@ def test_simulate_diverging_problem_is_numeric_failure(tmp_path, capsys):
     assert code == EXIT_NUMERIC
     assert "non-finite state at Euler step" in err
     assert "Traceback" not in err
+
+
+def test_simulate_overflowing_exact_gbm_is_numeric_failure(tmp_path, capsys):
+    problem = tmp_path / "p.txt"
+    problem.write_text(GBM_D1.replace("gbm: 0.0 0.2", "gbm: 1000 0.2"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([
+            "simulate", str(problem), "--seed", "1", "--out-dir", str(tmp_path),
+            "--grid", "2", "--paths", "10",
+        ])
+    err = capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == EXIT_NUMERIC
+    assert "non-finite terminal value (exact GBM)" in err
 
 
 def test_simulate_reproducible(tmp_path):
@@ -329,19 +354,25 @@ def test_evaluate_reloaded_build_matches_in_memory_network(tmp_path):
 # put, but 0.3/0.5/0.5 at x = 0.8/1.0/1.2 where the put is 0.2/0/0.
 NOT_A_PUT = "arch: 1 1 1 1\nW1\n-1\nB1\n1\nW2\n-1\nB2\n0.5\nW3\n1\nB3\n0\n"
 PUT = "arch: 1 1 1 1\nW1\n-1\nB1\n1\nW2\n-1\nB2\n1\nW3\n-1\nB3\n1\n"
+# Widths (1, 2, 1): one ReLU(1 - x) unit per hidden row, averaged.
+TWO_UNIT_PUT = "arch: 1 2 1\nW1\n-1\n-1\nB1\n1 1\nW2\n0.5 0.5\nB2\n0\n"
 
 
 @pytest.mark.parametrize(
     "payoff, kind",
-    [(NOT_A_PUT, "monte_carlo"), (PUT, "closed_form"), (None, "closed_form")],
-    ids=["not_a_put_file", "put_file", "put_spec"],
+    [(NOT_A_PUT, "monte_carlo"), (PUT, "closed_form"), (None, "closed_form"),
+     (TWO_UNIT_PUT, "monte_carlo"), ("payoff: put 1.0 0.5", "monte_carlo"),
+     ("payoff: put -1.0 1.0", "monte_carlo")],
+    ids=["not_a_put_file", "put_file", "put_spec", "widths_not_1_1_1_1", "cap_not_D",
+         "negative_weight"],
 )
 def test_closed_form_reference_only_for_the_capped_put(tmp_path, payoff, kind):
     problem = PUT_D1
     if payoff is not None:
+        spec = payoff if payoff.startswith("payoff:") else "payoff_file: payoff.txt"
         (tmp_path / "payoff.txt").write_text(payoff)
         problem = tmp_path / "p.txt"
-        problem.write_text(GBM_D1.replace("payoff: put 1.0 1.0", "payoff_file: payoff.txt"))
+        problem.write_text(GBM_D1.replace("payoff: put 1.0 1.0", spec))
     if payoff == NOT_A_PUT:
         values = evaluate(load_problem(problem).payoff, np.array([[0.8], [1.0], [1.2]]))[:, 0]
         assert values == pytest.approx([0.3, 0.5, 0.5])
@@ -383,6 +414,21 @@ def test_evaluate_truncated_network_is_usage_error(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # train
+
+def test_train_diverging_step_size_is_numeric_failure(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([
+            "train", PUT_D1, "--m", "500", "--arch", "1,16,16,1", "--iters", "300",
+            "--lr", "1e200", "--seed", "1", "--out-dir", str(tmp_path),
+            "--grid", "8", "--paths", "100",
+        ])
+    err = capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == EXIT_NUMERIC
+    assert "numerical failure: training diverged at iteration" in err
+    assert not (tmp_path / "summary.csv").exists()
+
 
 def test_train_pipeline_small(tmp_path, capsys):
     code = run([

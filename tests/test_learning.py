@@ -2,6 +2,7 @@
 error-decomposition report."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -255,6 +256,19 @@ def test_train_empty_dataset_rejected():
     cfg = TrainConfig(architecture=Architecture((1, 2, 1)), clip_amplitude=1.0)
     with pytest.raises(ValueError):
         train_erm(Dataset(np.zeros((0, 1)), np.zeros(0)), cfg)
+
+
+def test_train_divergence_raises_without_runtime_warning():
+    data = generate_dataset(put_problem(), 500, seed=11)
+    cfg = TrainConfig(
+        architecture=Architecture((1, 16, 16, 1)), clip_amplitude=1.0,
+        step_size=1e200, iterations=300, seed=1,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match=r"training diverged at iteration \d+ "):
+            train_erm(data, cfg)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_train_seed_determinism():

@@ -197,6 +197,17 @@ def test_gbm_exact_matches_lognormal_distribution():
     assert out[0] == pytest.approx(want, rel=1e-12)
 
 
+def test_exact_gbm_overflow_raises_at_step_zero_without_warning():
+    prob = put_problem(mu=1e3, sigma=0.2)
+    keys = rng.stream_key(rng.child_seeds(6, np.arange(4)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SimulationError, match=r"non-finite terminal value \(exact GBM\)") as err:
+            terminal_values(prob, np.ones((4, 1)), keys)
+    assert err.value.step == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_exact_gbm_matches_one_shot_formula_across_blocks():
     # The in-place exact-GBM branch against the one-line formula it replaced,
     # for n * d on both sides of one block of draws and across several.
@@ -572,6 +583,15 @@ def test_mc_matches_lognormal_closed_form():
     est, se = mc_feynman_kac(prob, np.array([1.0]), 100000, seed=12)
     assert abs(est - want) <= 4 * se
     assert abs(est) <= prob.clip_amplitude
+
+
+@pytest.mark.parametrize("x", [0.6, 0.9, 1.2])
+def test_lognormal_capped_put_without_volatility_is_the_deterministic_price(x):
+    # Every path is x e^(mu T); the mean of two equal values is exact.
+    prob = put_problem(mu=0.05, sigma=0.0)
+    est, se = mc_feynman_kac(prob, np.array([x]), 2, seed=4)
+    assert se == 0.0
+    assert lognormal_capped_put(x, 1.0, 1.0, 0.05, 0.0, 1.0) == est
 
 
 def test_mc_estimate_within_clip_range():
