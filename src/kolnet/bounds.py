@@ -183,8 +183,9 @@ class ApproximationFamily:
     def __post_init__(self):
         if self.nu < 0.5:
             raise ValueError("nu must be >= 1/2")
-        if min(self.alpha, self.beta, self.gamma, self.kappa, self.lmbda) < 0:
-            raise ValueError("exponents must be nonnegative")
+        exps = (self.alpha, self.beta, self.gamma, self.kappa, self.lmbda)
+        if min(exps) < 0 or not all(map(math.isfinite, (self.nu, *exps))):
+            raise ValueError("exponents must be finite and nonnegative")
 
     @property
     def tau(self) -> float:
@@ -236,8 +237,10 @@ def kolmogorov_certificate(
     provenance so scaling audits are constant-free.  The companion accuracy is delta = (4C)^-1 d^(-tau/2)
     eps^(1/2).
     """
-    if C is None or C <= 0:
-        raise ValueError("scale constant C must be supplied and positive")
+    if C is None or not 0 < C < math.inf:
+        raise ValueError("scale constant C must be supplied, positive and finite")
+    if not 1 <= D < math.inf:
+        raise ValueError("clip amplitude D must be finite and >= 1")
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     if not 0 < rho < 1:

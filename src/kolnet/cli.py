@@ -426,10 +426,15 @@ def _check_args(args) -> None:
         raise UsageError("--R needs --project")
     if project and R is None:
         raise UsageError("--project needs --R")
-    for name in ("R", "lr", "target", "threshold"):
+    for name in ("R", "lr", "target", "threshold", "C"):
         value = getattr(args, name, None)
         if value is not None and not 0 < value < np.inf:
             raise UsageError(f"--{name} must be a positive finite number")
+    if not 1 <= getattr(args, "D", 1.0) < np.inf:
+        raise UsageError("--D must be a finite number of at least 1")
+    for f in dataclasses.fields(ApproximationFamily):  # certify's exponents
+        if not np.isfinite(getattr(args, f.name, 0.0)):
+            raise UsageError(f"--{f.name} must be a finite number")
 
 
 def main(argv=None) -> int:

@@ -3,8 +3,8 @@
 Drift mu(x) = A x + b and matrix diffusion sigma(x) = C_0 + sum_i x_i C_i
 are affine in the state, which makes every Euler step (and the exact
 geometric-Brownian terminal map) affine in the initial value.  The terminal
-value therefore has a pathwise representation S_T^x = M x + N that
-``extract_affine_batch`` recovers by coupling d+1 paths on the same stream.
+value therefore has a pathwise representation S_T^x = M x + N, and
+``extract_affine_batch`` runs [N | M] as one path carrying d tangent columns.
 ``terminal_values`` is the one sampling kernel every caller goes through, and
 ``payoff_samples`` the one Monte-Carlo batch of payoffs.
 """
@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 
-# Paths per Euler chunk.  It bounds the working set and never changes the
-# result; 4096 sat at the flat bottom of a timing sweep over 512-16384 paths.
+# State columns per Euler chunk (d + 1 per map).  It bounds the working set and
+# never changes the result; 4096 sat at the flat bottom of a 512-16384 path sweep.
 _EULER_CHUNK = 4096
 
 # Normals a reference point must draw to get a pool thread of its own: on 2
@@ -218,46 +218,50 @@ def _pool_map(fn, items, workers: int) -> list:
 def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     """Terminal values S_T for a batch of paths; path i starts at X0[i] on stream keys[i].
 
-    X0 must be a finite (n, d) array and keys (n,) uint64.  Exact
-    log-normal draws for diagonal GBM, Euler-Maruyama with ``problem.steps``
-    steps otherwise.  Step k of path i draws its d normals at counters
-    (keys[i], k*d + j), so a path's value does not depend on the batch it
-    is in, unless the batch is that path alone (see nets._row_blocks).
-    Euler chunks of paths run through _pool_map on one thread per usable
-    CPU, at most one per _EULER_CHUNK // 2 paths; since a path's bits do
-    not depend on its chunk, neither does the result.
-    Overflow raises no numpy warning: the isfinite checks turn it into
-    SimulationError, at the earliest non-finite step over all paths.
+    X0 is a finite (n, d) array, or an (n, d, c) stack of affine states
+    [x | V] whose tangent columns V each step moves by its linear part only,
+    so with S_T^x = M x + N the state ends at [S_T^x | M V]; keys is (n,)
+    uint64; the result has X0's shape.  Exact log-normal draws for diagonal
+    GBM, Euler-Maruyama with ``problem.steps`` steps otherwise.  Step k of
+    path i draws its d normals at counters (keys[i], k*d + j), so its value
+    depends neither on its batch (a lone Euler path runs twice: alone, it
+    would multiply by gemv, see nets._row_blocks) nor on its Euler chunk.
+    Chunks run on _pool_map, one thread per usable CPU and at most one per
+    _EULER_CHUNK // 2 state columns.  Overflow raises no numpy warning: the
+    isfinite checks raise SimulationError at the earliest non-finite step.
     """
     co = problem.coeffs
     d, T = problem.dim, problem.horizon
     keys = np.asarray(keys, dtype=np.uint64)
     X0 = np.asarray(X0, dtype=np.float64)
     n = len(keys)
-    if X0.shape != (n, d) or not np.all(np.isfinite(X0)):
-        raise ValueError(f"X0 must be a finite ({n}, {d}) array, got shape {X0.shape}")
+    if X0.ndim not in (2, 3) or X0.shape[:2] != (n, d) or not np.all(np.isfinite(X0)):
+        raise ValueError(f"X0 must be a finite ({n}, {d}) array or ({n}, {d}, c) stack, got {X0.shape}")
     if problem.gbm_flag:
         mu = np.diag(co.A)
         sig = np.array([co.C[i + 1][i, i] for i in range(d)])
-        # X0 exp((mu - sig^2/2) T + sig sqrt(T) Z), in place on the draws Z:
+        # g = exp((mu - sig^2/2) T + sig sqrt(T) Z), in place on the draws Z:
         # every step only reorders operands of a commutative op, so bits match.
-        S = rng.gaussians(keys[:, None], np.arange(d)[None, :])
-        S *= sig * np.sqrt(T)
-        S += (mu - 0.5 * sig**2) * T
-        np.exp(S, out=S)
-        S *= X0
+        g = rng.gaussians(keys[:, None], np.arange(d)[None, :])
+        g *= sig * np.sqrt(T)
+        g += (mu - 0.5 * sig**2) * T
+        np.exp(g, out=g)
+        S = np.multiply(g, X0, out=g) if X0.ndim == 2 else g[:, :, None] * X0  # diag(g) X0
         if not np.all(np.isfinite(S)):
             raise SimulationError(0, "non-finite terminal value (exact GBM)")
         return S
-    # Euler-Maruyama, state-major: a chunk's state and increments are (d, paths),
-    # so every elementwise op runs over contiguous rows of paths.
+    if n == 1:
+        return terminal_values(problem, np.repeat(X0, 2, axis=0), np.repeat(keys, 2))[:1]
+    # Euler-Maruyama, state-major: chunk states are (d, c, paths), rows of paths contiguous.
+    Y0 = X0[:, :, None] if X0.ndim == 2 else X0
+    c = Y0.shape[2]
     steps = problem.steps
     dt = T / steps
     sqdt = np.sqrt(dt)
     coords = np.arange(d)[:, None]  # step k draws at counters k*d + coords
     C = np.vstack(co.C)  # ((d+1)*d, d): all diffusion products in one matmul
     b = co.b[:, None]
-    out = np.empty((n, d))
+    out = np.empty((n, d, c))
 
     # errstate is thread-local: pool threads need their own.
     @np.errstate(over="ignore", invalid="ignore")
@@ -265,54 +269,53 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
         """Run paths lo:hi into out[lo:hi]; return their first non-finite
         step, or ``steps`` if they stay finite."""
         lo, hi = bounds
-        X = np.array(X0[lo:hi].T, dtype=np.float64, order="C")
+        X = np.array(Y0[lo:hi].transpose(1, 2, 0), order="C")
         drift, diff, finite = np.empty_like(X), np.empty_like(X), np.empty(X.shape, bool)
-        P = np.empty(((d + 1) * d, hi - lo))
-        P3 = P.reshape(d + 1, d, -1)  # P3[i] = C_i dB
+        # Q[0] = [C_0 dB | 0], Q[i] = (C_i dB) X[i-1], P their column 0.  Views are
+        # made once: pooled chunks pay each step's Python work in turn, under the GIL.
+        Q = np.zeros((d + 1, d, c, hi - lo))
+        P = Q[:, :, 0].reshape((d + 1) * d, hi - lo)
+        X2, drift2, drift0 = X.reshape(d, -1), drift.reshape(d, -1), drift[:, 0]
+        Qx, Xq, tangent, column0 = Q[1:], X[:, None], Q[1:, :, 1:], Q[1:, :, :1]
         for k in range(steps):
             dB = rng.gaussians(keys[None, lo:hi], k * d + coords)
             dB *= sqdt
-            np.matmul(co.A, X, out=drift)
-            drift += b
+            np.matmul(co.A, X2, out=drift2)
+            drift0 += b
             drift *= dt
             np.matmul(C, dB, out=P)
-            P3[1:] *= X[:, None, :]
-            np.add.reduce(P3, axis=0, out=diff)  # P3[0] + P3[1] + ..., in that order
+            tangent[...] = column0
+            Qx *= Xq
+            np.add.reduce(Q, axis=0, out=diff)  # Q[0] + Q[1] + ..., in that order
             X += drift
             X += diff
             if not np.isfinite(X, out=finite).all():
                 return k
-        out[lo:hi] = X.T
+        out[lo:hi] = X.transpose(2, 0, 1)
         return steps
 
     # One thread per usable CPU, but no more than one per _EULER_CHUNK // 2
-    # paths: every thread runs the Python loop of each step under the GIL and
-    # holds its own BLAS buffer, so a small batch gains nothing from more.
-    workers = max(1, min(_usable_cpus(), -(-n // (_EULER_CHUNK // 2))))
-    # Chunks of n // count <= _EULER_CHUNK paths, count a multiple of ``workers``.
-    count = workers * max(1, -(-n // (workers * _EULER_CHUNK)))
+    # state columns: every thread runs the Python loop of each step under the
+    # GIL and holds its own BLAS buffer, so a small batch gains nothing from more.
+    workers = max(1, min(_usable_cpus(), -(-n * c // (_EULER_CHUNK // 2))))
+    # Chunks of n // count paths (<= _EULER_CHUNK columns), count a multiple of ``workers``.
+    count = workers * max(1, -(-n * c // (workers * _EULER_CHUNK)))
     bad_step = min(_pool_map(chunk, _row_blocks(n, max(2, n // count)), workers))
     if bad_step < steps:
         raise SimulationError(bad_step, f"non-finite state at Euler step {bad_step}")
-    return out
+    return out.reshape(X0.shape)
 
 
 def extract_affine_batch(problem: KolmogorovProblem, seeds: np.ndarray):
     """Pathwise terminal affine maps, one per seed: S_T^x = M[j] x + N[j].
 
-    Map j couples d+1 paths (from 0 and each basis vector) on the stream
-    stream_key(seeds[j]); N[j] = S_T^0 and column i of M[j] is
-    S_T^{e_i} - S_T^0.  Returns arrays of shapes (n, d, d) and (n, d).
+    Map j is one path on stream stream_key(seeds[j]) from the affine state
+    [0 | I] to [N[j] | M[j]] (see terminal_values); shapes (n, d, d), (n, d).
     """
-    d = problem.dim
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    n = seeds.shape[0]
-    keys = np.repeat(rng.stream_key(seeds), d + 1)
-    X0 = np.tile(np.vstack([np.zeros(d), np.eye(d)]), (n, 1))
-    S = terminal_values(problem, X0, keys).reshape(n, d + 1, d)
-    N = S[:, 0, :]
-    M = np.swapaxes(S[:, 1:, :] - N[:, None, :], 1, 2)
-    return M, N
+    keys = rng.stream_key(seeds)
+    start = np.eye(problem.dim, problem.dim + 1, 1)  # [0 | I]
+    Y = terminal_values(problem, np.broadcast_to(start, (len(keys), *start.shape)), keys)
+    return np.ascontiguousarray(Y[:, :, 1:]), np.ascontiguousarray(Y[:, :, 0])
 
 
 def payoff_samples(problem: KolmogorovProblem, X0, seed) -> np.ndarray:
@@ -341,9 +344,7 @@ def mc_feynman_kac(problem: KolmogorovProblem, x, n_paths: int, seed: int):
         raise ValueError("n_paths must be >= 2")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     Y = payoff_samples(problem, np.broadcast_to(x, (n_paths, len(x))), seed)
-    est = float(np.mean(Y))
-    se = float(np.std(Y, ddof=1) / np.sqrt(n_paths))
-    return est, se
+    return float(np.mean(Y)), float(np.std(Y, ddof=1) / np.sqrt(n_paths))
 
 
 def mc_reference_grid(problem: KolmogorovProblem, points, n_paths: int, seed: int):

@@ -265,6 +265,11 @@ def test_tau_recomputed():
 def test_family_validation():
     with pytest.raises(ValueError):
         ApproximationFamily(nu=0.25)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ApproximationFamily(nu=bad)
+        with pytest.raises(ValueError, match="finite"):
+            ApproximationFamily(nu=0.5, gamma=bad)
 
 
 def put_arch_of_delta(d):
@@ -306,6 +311,13 @@ def test_certificate_rows_have_formulas():
 def test_certificate_requires_positive_C():
     with pytest.raises(ValueError):
         kolmogorov_certificate(1, 0.1, 0.05, put_family(), put_arch_of_delta(1), 0.0)
+
+
+@pytest.mark.parametrize("C, D", [(np.nan, 1.0), (np.inf, 1.0), (1.0, 0.5), (1.0, 0.0),
+                                  (1.0, np.nan), (1.0, np.inf)])
+def test_certificate_rejects_bad_scale_or_clip(C, D):
+    with pytest.raises(ValueError):
+        kolmogorov_certificate(2, 0.1, 0.1, put_family(), put_arch_of_delta(2), C, D=D)
 
 
 def test_certificate_rejects_bad_eps():

@@ -190,6 +190,9 @@ def test_non_positive_counts_are_usage_errors(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())  # rejected before any output is written
 
 
+CERTIFY = ["certify", "--d", "2", "--eps", "0.1", "--rho", "0.1"]
+
+
 @pytest.mark.parametrize(
     "argv, needles",
     [
@@ -215,11 +218,23 @@ def test_non_positive_counts_are_usage_errors(tmp_path, capsys, argv):
         (["scaling-study", "--dims", "1,2,3", "--target", "nan"], ["--target "]),
         (["scaling-study", "--dims", "1,2,3", "--threshold", "-1"], ["--threshold "]),
         (["scaling-study", "--dims", "1,2,3", "--threshold", "inf"], ["--threshold "]),
+        # --D 0.5 used to write a certificate; 0 and -1 ended as "math domain
+        # error", nan as "cannot convert float NaN to integer", inf as exit 3.
+        (CERTIFY + ["--D", "0.5"], ["--D "]),
+        (CERTIFY + ["--D", "0"], ["--D "]),
+        (CERTIFY + ["--D", "-1"], ["--D "]),
+        (CERTIFY + ["--D", "nan"], ["--D "]),
+        (CERTIFY + ["--C", "nan"], ["--C "]),
+        (CERTIFY + ["--C", "inf"], ["--C "]),
+        (CERTIFY + ["--nu", "nan"], ["--nu "]),
+        (CERTIFY + ["--gamma", "inf"], ["--gamma "]),
     ],
     ids=["paths_one", "train_paths_one_closed_form", "arch_not_integer", "arch_zero_width",
          "arch_wrong_dimension", "dims_not_integer", "dims_zero", "build_n_zero", "build_retries_zero",
          "evaluate_input_width", "evaluate_output_width", "lr_nan", "lr_negative", "lr_zero",
-         "target_zero", "target_nan", "threshold_negative", "threshold_infinite"],
+         "target_zero", "target_nan", "threshold_negative", "threshold_infinite",
+         "certify_D_half", "certify_D_zero", "certify_D_negative", "certify_D_nan", "certify_C_nan",
+         "certify_C_infinite", "certify_nu_nan", "certify_gamma_infinite"],
 )
 def test_bad_arguments_name_their_flag_or_file(tmp_path, capsys, argv, needles):
     nets = {"wide_in.txt": (4, 3, 1), "wide_out.txt": (1, 3, 2)}
@@ -230,7 +245,8 @@ def test_bad_arguments_name_their_flag_or_file(tmp_path, capsys, argv, needles):
     argv = [str(tmp_path / a) if a in nets else a for a in argv]
     needles = [str(tmp_path / n) if n in nets else n for n in needles]
     out = tmp_path / "out"
-    code = run(argv + ["--seed", "1", "--out-dir", str(out)])
+    seed = [] if argv[0] == "certify" else ["--seed", "1"]  # certify draws nothing
+    code = run(argv + seed + ["--out-dir", str(out)])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error: ")

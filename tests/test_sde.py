@@ -170,7 +170,8 @@ def test_single_step_brownian_motion_exact():
 
 
 @pytest.mark.parametrize(
-    "X0", [np.ones((3, 1)), np.ones((2, 2)), np.ones(2), np.array([[1.0], [np.nan]])]
+    "X0", [np.ones((3, 1)), np.ones((2, 2)), np.ones(2), np.array([[1.0], [np.nan]]),
+           np.ones((3, 1, 2)), np.ones((2, 1, 1, 1))]
 )
 def test_terminal_values_rejects_bad_start_points(X0):
     keys = rng.stream_key(np.arange(2, dtype=np.uint64))
@@ -287,8 +288,9 @@ def workers(request, monkeypatch):
     return request.param
 
 
-# n = 1 takes a one-path chunk, 3 and 5 at most two chunks of at least two
-# paths, 4097 split chunks of unequal size and 2 * 4096 + 123 three or more.
+# n = 1 runs as two paths, so it is checked against row 0 of the doubled
+# batch; 3 and 5 take at most two chunks of at least two paths, 4097 split
+# chunks of unequal size and 2 * 4096 + 123 three or more.
 @pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
 @pytest.mark.parametrize("n", [1, 3, 5, sde._EULER_CHUNK, sde._EULER_CHUNK + 1,
                                2 * sde._EULER_CHUNK + 123])
@@ -300,7 +302,21 @@ def test_euler_kernel_bit_identical_to_path_major_loop(workers, n):
     keys = rng.stream_key(rng.child_seeds(17, np.arange(n)))
     got = terminal_values(prob, X0, keys)
     assert got.shape == (n, d)
-    assert np.array_equal(got, path_major_euler(prob, X0, keys))
+    batch = (X0, keys) if n > 1 else (np.repeat(X0, 2, axis=0), np.repeat(keys, 2))
+    assert np.array_equal(got, path_major_euler(prob, *batch)[:n])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_lone_euler_path_gets_its_batch_bits(d):
+    # Alone, a path's diffusion products would go through gemv and differ
+    # from its batch in the last bits.
+    n = 300
+    prob = generic_problem(random_affine_coeffs(d, seed=d), d=d, steps=8)
+    X0 = np.random.RandomState(d).uniform(-1, 1, size=(n, d))
+    keys = rng.stream_key(rng.child_seeds(19, np.arange(n)))
+    batch = terminal_values(prob, X0, keys)
+    for i in (0, n // 2, n - 1):
+        assert np.array_equal(terminal_values(prob, X0[i : i + 1], keys[i : i + 1]), batch[i : i + 1]), i
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -317,9 +333,9 @@ def test_empty_batch(path):
 
 @pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
 def test_extract_affine_batch_across_chunk_boundary(workers, monkeypatch):
-    # d=2 gives 3 rows per map.  At 1,367 maps (4,101 paths) a chunk edge
-    # falls inside a map on every worker count: at path 2,050 on 1 and 2
-    # workers, at paths 1,367 and 2,734 on 3.
+    # d=2 gives 3 state columns per map, so 1,367 maps are 4,101 columns:
+    # two chunks, split at map 683, on 1 and 2 workers; three on 3, split at
+    # maps 455 and 910.  The maps on both sides of each edge match one-map calls.
     d = 2
     prob = generic_problem(random_affine_coeffs(d, seed=6), d=d, steps=16)
     blocks, row_blocks = [], sde._row_blocks
@@ -332,9 +348,9 @@ def test_extract_affine_batch_across_chunk_boundary(workers, monkeypatch):
     monkeypatch.setattr(sde, "_row_blocks", recorded)
     seeds = np.arange(1367)
     Ms, Ns = extract_affine_batch(prob, seeds)
-    split = [lo // (d + 1) for lo, _ in blocks if lo % (d + 1)]
-    assert split, blocks
-    for j in sorted({0, len(seeds) - 1} | {k + s for k in split for s in (-1, 0, 1)}):
+    edges = [lo for lo, _ in blocks if lo]
+    assert edges == ([455, 910] if workers == 3 else [683])
+    for j in [0, len(seeds) - 1] + [k + s for k in edges for s in (-1, 0)]:
         M, N = extract_affine_batch(prob, seeds[j : j + 1])
         assert np.array_equal(Ms[j], M[0]), j
         assert np.array_equal(Ns[j], N[0]), j
@@ -522,6 +538,51 @@ def test_affine_rep_exact_gbm():
         x = rs.uniform(0.5, 1.5, size=1)
         direct = terminal(prob, x, 7)
         assert np.max(np.abs(direct - (M[0] @ x + N[0]))) <= 1e-12
+
+
+def test_gbm_maps_are_diagonal_exponentials_of_one_draw():
+    d, n, T = 3, 64, 0.7
+    mu, sig = np.array([0.02, -0.01, 0.05]), np.array([0.1, 0.25, 0.4])
+    prob = put_problem(d=d, mu=mu, sigma=sig, T=T)
+    seeds = np.arange(n, dtype=np.uint64)
+    Z = rng.gaussians(rng.stream_key(seeds)[:, None], np.arange(d)[None, :])
+    g = np.exp(Z * (sig * np.sqrt(T)) + (mu - 0.5 * sig**2) * T)
+    M, N = extract_affine_batch(prob, seeds)
+    assert np.array_equal(M, np.array([np.diag(row) for row in g]))
+    assert np.array_equal(N, np.zeros((n, d)))
+    assert not np.signbit(M).any() and not np.signbit(N).any()
+
+
+@pytest.mark.parametrize("path", ["bench/problems/euler_basket_d5.txt", "problems/basket_put_d5.txt"])
+def test_maps_draw_each_normal_once(path, monkeypatch):
+    # n maps draw the normals of n paths: d per step on the Euler branch, d on GBM.
+    prob = load_problem(REPO / path)
+    drawn, draw = [], rng.gaussians
+
+    def gaussians(keys, counters):
+        z = draw(keys, counters)
+        drawn.append(z.size)
+        return z
+
+    monkeypatch.setattr(rng, "gaussians", gaussians)
+    n = 40
+    extract_affine_batch(prob, np.arange(n))
+    assert sum(drawn) == n * prob.dim * (1 if prob.gbm_flag else prob.steps)
+
+
+@pytest.mark.parametrize("path", ["bench/problems/euler_basket_d5.txt", "problems/basket_put_d5.txt"])
+def test_affine_state_ends_at_path_and_tangent_map(path):
+    # A state [x | V] ends at [S_T^x | M V].
+    prob = load_problem(REPO / path)
+    d, n = prob.dim, 30
+    rs = np.random.RandomState(2)
+    x, V = rs.uniform(0.5, 1.5, size=(n, d)), rs.uniform(-1, 1, size=(n, d, 2))
+    seeds = np.arange(n, dtype=np.uint64)
+    Y = terminal_values(prob, np.concatenate([x[:, :, None], V], axis=2), rng.stream_key(seeds))
+    M, _ = extract_affine_batch(prob, seeds)
+    assert Y.shape == (n, d, 3)
+    assert np.allclose(Y[:, :, 0], terminal_values(prob, x, rng.stream_key(seeds)), rtol=1e-13, atol=0)
+    assert np.allclose(Y[:, :, 1:], M @ V, rtol=1e-12, atol=1e-14)
 
 
 def test_extract_affine_batch_matches_single():
