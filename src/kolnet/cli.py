@@ -1,8 +1,9 @@
 """Command-line entry point for reproducible experiments.
 
 Subcommands: certify, simulate, build, train, evaluate, scaling-study.
-All outputs are CSV with a comment line recording the config hash and
-seeds; identical invocations produce byte-identical files.
+Tables are CSV; all but build_report.csv and trace.csv start with a
+comment line recording the config hash and seed.  Identical invocations
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -77,9 +78,13 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _write_csv(path, header: str, rows, comment: str) -> None:
+def _write_csv(path: Path, header: str, rows, comment: str | None = None) -> None:
+    """Write a table into ``path``'s directory, made if missing; the
+    ``# comment`` line comes first when a comment is given."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(f"# {comment}\n")
+        if comment is not None:
+            fh.write(f"# {comment}\n")
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(str(x) for x in row) + "\n")
@@ -115,7 +120,7 @@ def _closed_form_reference(problem: KolmogorovProblem, points: np.ndarray):
                for (W, B), (V, A) in zip(problem.payoff.layers, put.layers)):
         return None
     mu = float(problem.coeffs.A[0, 0])
-    sig = float(problem.coeffs.C[1][0, 0])
+    sig = float(problem.coeffs.C[1, 0, 0])
     return lognormal_capped_put(points[:, 0], c, cap, mu, sig, problem.horizon)
 
 
@@ -133,8 +138,6 @@ def _score(problem: KolmogorovProblem, net: ClippedNetwork, args):
 
 
 def cmd_certify(args) -> int:
-    if args.d < 1:
-        raise UsageError("d must be a positive integer")
     fam = ApproximationFamily(**{f.name: getattr(args, f.name)
                                  for f in dataclasses.fields(ApproximationFamily)})
     cert = kolmogorov_certificate(
@@ -142,7 +145,6 @@ def cmd_certify(args) -> int:
     )
     rows = [(q, v, f'"{formula}"') for q, v, formula in cert.rows()]
     out = Path(args.out_dir) / "certificate.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, "quantity,value,formula", rows, f"config_hash={_config_hash(args)}")
     width = max(len(q) for q, _, _ in cert.rows())
     print(f"certificate for d={args.d} eps={args.eps} rho={args.rho} C={args.C}")
@@ -162,7 +164,6 @@ def cmd_simulate(args) -> int:
     ]
     header = ",".join(f"x_{i + 1}" for i in range(problem.dim)) + ",estimate,std_error"
     out = Path(args.out_dir) / "reference.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, header, rows, f"config_hash={_config_hash(args)} seed={args.seed}")
     print(f"wrote {out} ({len(rows)} points, {args.paths} paths each)")
     return EXIT_OK
@@ -181,10 +182,13 @@ def cmd_build(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_network(built, out_dir / "built_network.txt")
-    report.save_csv(out_dir / "build_report.csv")
+    b = report.bounds  # the chosen retry's, repeated on every row
+    rows = [(r, f"{e:.17g}", f"{b.theta_norm:.17g}", b.param_count)
+            for r, e in enumerate(report.retry_errors)]
+    _write_csv(out_dir / "build_report.csv", "retry,l2_error_estimate,theta_norm,param_count", rows)
     print(
-        f"built n={args.n} network: P(a)={report.bounds.param_count}, "
-        f"max|theta|={report.bounds.theta_norm:.6g}, best retry {report.chosen_retry} "
+        f"built n={args.n} network: P(a)={b.param_count}, "
+        f"max|theta|={b.theta_norm:.6g}, best retry {report.chosen_retry} "
         f"(est. L2 {report.retry_errors[report.chosen_retry]:.3e})"
     )
     print(f"wrote {out_dir / 'built_network.txt'} and {out_dir / 'build_report.csv'}")
@@ -216,7 +220,8 @@ def _run_pipeline(problem, args, out_dir: Path, comment: str):
     err, floor, ref_kind = _score(problem, fit.network, args)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_network(fit.trained, out_dir / "trained_network.txt")
-    fit.save_trace(out_dir / "trace.csv")
+    trace = [(it, f"{br:.17g}", f"{fr:.17g}") for it, br, fr in fit.trace]
+    _write_csv(out_dir / "trace.csv", "iter,batch_risk,full_risk", trace)
     summary = {
         "d": problem.dim,
         "m": args.m,
@@ -262,7 +267,6 @@ def cmd_evaluate(args) -> int:
     net = ClippedNetwork(params, problem.clip_amplitude)
     err, floor, ref_kind = _score(problem, net, args)
     out = Path(args.out_dir) / "evaluation.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out,
         "l2_error,noise_floor,reference,grid",
@@ -279,7 +283,6 @@ def cmd_scaling_study(args) -> int:
     if len(set(dims)) < 3:
         raise UsageError("scaling study needs at least 3 distinct dimensions")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     results = []
     all_hit = True
@@ -414,7 +417,8 @@ def _positive_ints(flag: str, text: str) -> tuple:
 
 
 def _check_args(args) -> None:
-    for name in ("grid", "paths", "m", "iters", "batch", "eval_every", "n", "retries"):
+    for name in ("grid", "paths", "m", "iters", "batch", "eval_every", "n", "retries",
+                 "d", "width", "m_base"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be a positive integer")
@@ -426,15 +430,24 @@ def _check_args(args) -> None:
         raise UsageError("--R needs --project")
     if project and R is None:
         raise UsageError("--project needs --R")
-    for name in ("R", "lr", "target", "threshold", "C"):
+    for name in ("R", "lr", "target", "threshold", "C", "T"):
         value = getattr(args, name, None)
         if value is not None and not 0 < value < np.inf:
             raise UsageError(f"--{name} must be a positive finite number")
+    for name in ("eps", "rho"):
+        if not 0 < getattr(args, name, 0.5) < 1:
+            raise UsageError(f"--{name} must be in (0, 1)")
     if not 1 <= getattr(args, "D", 1.0) < np.inf:
         raise UsageError("--D must be a finite number of at least 1")
+    for name in ("mu", "sigma", "u", "v"):
+        if not np.isfinite(getattr(args, name, 0.0)):
+            raise UsageError(f"--{name} must be a finite number")
+    if not getattr(args, "u", 0.0) < getattr(args, "v", 1.0):
+        raise UsageError("--u must be below --v")
     for f in dataclasses.fields(ApproximationFamily):  # certify's exponents
-        if not np.isfinite(getattr(args, f.name, 0.0)):
-            raise UsageError(f"--{f.name} must be a finite number")
+        low = 0.5 if f.name == "nu" else 0.0
+        if not low <= getattr(args, f.name, low) < np.inf:
+            raise UsageError(f"--{f.name} must be a finite number of at least {low:g}")
 
 
 def main(argv=None) -> int:

@@ -109,13 +109,6 @@ class BuildReport:
     chosen_retry: int
     bounds: BoundsReport  # size and magnitude of the chosen network, with their caps
 
-    def save_csv(self, path) -> None:
-        b = self.bounds
-        with open(path, "w") as fh:
-            fh.write("retry,l2_error_estimate,theta_norm,param_count\n")
-            for r, err in enumerate(self.retry_errors):
-                fh.write(f"{r},{err:.17g},{b.theta_norm:.17g},{b.param_count}\n")
-
 
 def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
     """Assemble the averaged-composition network; returns (params, report).
@@ -132,26 +125,16 @@ def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
     ref_seed = rng.child_seed(spec.seed, 0xEF)
     ref_vals, _ = mc_reference_grid(problem, grid, spec.ref_paths, ref_seed)
 
-    best = None
-    best_err = np.inf
-    best_maps = None
-    errors = []
+    errors, chosen = [], None  # chosen: (retry, network, maps) of the least error so far
     for retry in range(spec.retries):
         map_seeds = rng.child_seeds(rng.child_seed(spec.seed, retry + 1), np.arange(spec.n))
         M, N = extract_affine_batch(problem, map_seeds)
         candidate = compose_average(problem.payoff, M, N)
-        err = l2_error(ClippedNetwork(candidate, problem.clip_amplitude), grid, ref_vals)
-        errors.append(err)
-        if err < best_err:
-            best_err = err
-            best = candidate
-            best_maps = M, N
-    bounds = verify_construction_bounds(best, problem.payoff, *best_maps)
+        errors.append(l2_error(ClippedNetwork(candidate, problem.clip_amplitude), grid, ref_vals))
+        if chosen is None or errors[-1] < errors[chosen[0]]:  # a tie keeps the first
+            chosen = retry, candidate, (M, N)
+    retry, built, maps = chosen
+    bounds = verify_construction_bounds(built, problem.payoff, *maps)
     if not bounds.all_ok:
         raise RuntimeError(f"construction bounds violated: {bounds}")
-    report = BuildReport(
-        retry_errors=errors,
-        chosen_retry=int(np.argmin(errors)),
-        bounds=bounds,
-    )
-    return best, report
+    return built, BuildReport(retry_errors=errors, chosen_retry=retry, bounds=bounds)

@@ -107,12 +107,6 @@ class FitReport:
     def network(self) -> ClippedNetwork:
         return ClippedNetwork(self.trained, self.clip_amplitude)
 
-    def save_trace(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iter,batch_risk,full_risk\n")
-            for it, br, fr in self.trace:
-                fh.write(f"{it},{br:.17g},{fr:.17g}\n")
-
 
 def _layer_views(flat: np.ndarray, widths: tuple):
     """Per-layer (W, B) views into a flat buffer: all weights first, then all biases."""
@@ -299,7 +293,7 @@ def bias_variance_report(
     # (zero diffusion) problem, whose labels are exact.  Estimating the residual
     # label variance otherwise is out of scope; the identity check uses the
     # noiseless case.
-    risk_star = 0.0 if all(np.all(Ci == 0) for Ci in problem.coeffs.C) else np.nan
+    risk_star = 0.0 if np.all(problem.coeffs.C == 0) else np.nan
     generalization = risk_hat - best_class_risk
     approximation = best_class_risk - risk_star
 

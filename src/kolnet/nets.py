@@ -320,8 +320,9 @@ def _format_rows(W: np.ndarray) -> list:
 def save_network(params: Parametrization, path) -> None:
     """Write a network in the flat text format (17 significant digits).
 
-    Every weight is written as its dense matrix, one row per line.  Rows go
-    to the file as they are formatted; a block-stack row is a slice of one
+    Every weight is written as its dense matrix, one row per line, by one
+    row writer for block stacks (a dense matrix is the stack of one block).
+    Rows go to the file as they are formatted; a row is a slice of one
     shared run of "0 " tokens, its block's tokens and another such slice,
     so working memory is one row plus the formatted blocks, never the file.
     """
@@ -329,15 +330,11 @@ def save_network(params: Parametrization, path) -> None:
         fh.write("arch: " + " ".join(str(w) for w in params.architecture.widths) + "\n")
         for l, (W, B) in enumerate(params.layers, start=1):
             fh.write(f"W{l}\n")
-            if W.ndim == 2:
-                for row in _format_rows(W):
-                    fh.write(row + "\n")
-            else:
-                n, out_w, in_w = W.shape
-                zeros = "0 " * (n * in_w)
-                for k, row in enumerate(_format_rows(W.reshape(n * out_w, in_w))):
-                    before, after = k // out_w * in_w, (n - 1 - k // out_w) * in_w
-                    fh.write(zeros[: 2 * before] + row + zeros[1 : 2 * after + 1] + "\n")
+            n, out_w, in_w = W.reshape(-1, *W.shape[-2:]).shape
+            zeros = "0 " * (n * in_w)
+            for k, row in enumerate(_format_rows(W.reshape(n * out_w, in_w))):
+                before, after = k // out_w * in_w, (n - 1 - k // out_w) * in_w
+                fh.write(zeros[: 2 * before] + row + zeros[1 : 2 * after + 1] + "\n")
             fh.write(f"B{l}\n" + _format_rows(B[None, :])[0] + "\n")
 
 

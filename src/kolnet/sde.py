@@ -73,17 +73,19 @@ class AffineCoefficients:
 
     A: np.ndarray
     b: np.ndarray
-    C: tuple  # (C_0, C_1, ..., C_d), each d x d
+    C: np.ndarray  # (d+1, d, d): C_0, C_1, ..., C_d; a sequence of matrices is stacked
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.float64)
         d = A.shape[0]
         b = np.asarray(self.b, dtype=np.float64)
-        C = tuple(np.asarray(Ci, dtype=np.float64) for Ci in self.C)
+        C = np.asarray(self.C, dtype=np.float64)  # ragged matrices raise ValueError
         if A.shape != (d, d) or b.shape != (d,):
             raise ValueError("drift shapes inconsistent")
-        if len(C) != d + 1 or any(Ci.shape != (d, d) for Ci in C):
+        if C.shape != (d + 1, d, d):
             raise ValueError(f"need d+1 = {d + 1} diffusion matrices of shape ({d},{d})")
+        if not all(np.isfinite(x).all() for x in (A, b, C)):
+            raise ValueError("drift and diffusion coefficients must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "C", C)
@@ -99,7 +101,7 @@ class AffineCoefficients:
         ||C_0 + sum_i x_i C_i||_F <= ||C_0||_F + ||K||_2 ||x|| for
         K = [vec C_1 ... vec C_d], and ||A x + b|| <= ||A||_2 ||x|| + ||b||.
         """
-        K = np.stack([Ci.ravel() for Ci in self.C[1:]], axis=1)
+        K = self.C[1:].reshape(self.dim, -1).T
         L = max(
             np.linalg.norm(self.C[0]) + np.linalg.norm(self.b),
             np.linalg.norm(K, 2) + np.linalg.norm(self.A, 2),
@@ -110,8 +112,8 @@ class AffineCoefficients:
         """True when the dynamics are exactly simulable geometric Brownian motion:
         the coefficients equal the gbm_coefficients of their own diagonals."""
         i = np.arange(self.dim)
-        gbm = gbm_coefficients(self.dim, self.A[i, i], np.array(self.C[1:])[i, i, i])
-        pairs = zip((self.A, self.b, *self.C), (gbm.A, gbm.b, *gbm.C))
+        gbm = gbm_coefficients(self.dim, self.A[i, i], self.C[i + 1, i, i])
+        pairs = (self.A, gbm.A), (self.b, gbm.b), (self.C, gbm.C)
         return all(np.array_equal(x, y) for x, y in pairs)
 
 
@@ -122,7 +124,16 @@ def gbm_coefficients(d: int, mu_rate, sigma_rate) -> AffineCoefficients:
     C = np.zeros((d + 1, d, d))
     i = np.arange(d)
     C[i + 1, i, i] = sig
-    return AffineCoefficients(np.diag(mu), np.zeros(d), tuple(C))
+    return AffineCoefficients(np.diag(mu), np.zeros(d), C)
+
+
+class _RuleError(ValueError):
+    """A KolmogorovProblem value that breaks its rule; ``key`` is the problem-file
+    key that sets it, so that problem_from_text can name its line."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -139,16 +150,17 @@ class KolmogorovProblem:
     gbm_flag: bool = field(init=False)  # diagonal GBM coefficients: exact sampling
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon T must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if not self.u < self.v:
-            raise ValueError("require u < v")
-        if self.clip_amplitude < 1:
-            raise ValueError("clip amplitude D must be >= 1")
-        if self.payoff.architecture.input_width != self.dim:
-            raise ValueError("payoff input width must equal problem dimension")
+        for key, holds, message in (
+            ("T", 0 < self.horizon < np.inf, "horizon T must be positive and finite"),
+            ("steps", isinstance(self.steps, (int, np.integer)) and self.steps >= 1,
+             "steps must be an integer >= 1"),
+            ("v", -np.inf < self.u < self.v < np.inf, "require finite u < v"),
+            ("D", 1 <= self.clip_amplitude < np.inf, "clip amplitude D must be finite and >= 1"),
+            ("payoff", self.payoff.architecture.input_width == self.dim,
+             "payoff input width must equal problem dimension"),
+        ):
+            if not holds:
+                raise _RuleError(key, message)
         object.__setattr__(self, "gbm_flag", self.coeffs.is_diagonal_gbm())
 
     @property
@@ -238,8 +250,8 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     if X0.ndim not in (2, 3) or X0.shape[:2] != (n, d) or not np.all(np.isfinite(X0)):
         raise ValueError(f"X0 must be a finite ({n}, {d}) array or ({n}, {d}, c) stack, got {X0.shape}")
     if problem.gbm_flag:
-        mu = np.diag(co.A)
-        sig = np.array([co.C[i + 1][i, i] for i in range(d)])
+        i = np.arange(d)
+        mu, sig = co.A[i, i], co.C[i + 1, i, i]
         # g = exp((mu - sig^2/2) T + sig sqrt(T) Z), in place on the draws Z:
         # every step only reorders operands of a commutative op, so bits match.
         g = rng.gaussians(keys[:, None], np.arange(d)[None, :])
@@ -259,7 +271,7 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     dt = T / steps
     sqdt = np.sqrt(dt)
     coords = np.arange(d)[:, None]  # step k draws at counters k*d + coords
-    C = np.vstack(co.C)  # ((d+1)*d, d): all diffusion products in one matmul
+    C = co.C.reshape(-1, d)  # ((d+1)*d, d): all diffusion products in one matmul
     b = co.b[:, None]
     out = np.empty((n, d, c))
 
@@ -375,8 +387,9 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
     ``drift_matrix``/``drift_vector``/``diffusion<i>`` blocks (one row per
     continuation line).  Payoff: ``payoff: put c_1 ... c_d D`` or
     ``payoff_file: path``; dim is at most 256 and steps an integer from 1
-    to 2^20.  Malformed input, a non-finite number included, raises
-    ValueError naming ``source`` and the offending line, or the missing key.
+    to 2^20.  Malformed input, a non-finite number or a value that breaks a
+    KolmogorovProblem rule included, raises ValueError naming ``source`` and
+    the offending line (both lines of a repeated key), or the missing key.
     """
     entries = {}  # key -> (line number, text after the colon, continuation lines)
     current = None
@@ -393,6 +406,8 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
         if not colon:
             raise ValueError(f"{source}:{no}: expected 'key: value'")
         current = key.strip()
+        if current in entries:
+            raise ValueError(f"{source}:{no}: '{current}' repeats the key of line {entries[current][0]}")
         entries[current] = (no, val.strip(), [])
 
     def entry(key):
@@ -448,7 +463,7 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
         A = matrix("drift_matrix")
         b = np.array(vector("drift_vector", (d,)))
         C = [matrix(f"diffusion{i}") for i in range(d + 1)]
-        coeffs = AffineCoefficients(A, b, tuple(C))
+        coeffs = AffineCoefficients(A, b, C)
     else:
         raise ValueError(f"{source}: needs 'gbm' or 'drift_matrix'")
     if "payoff" in entries:
@@ -478,8 +493,9 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
             v=v,
             steps=steps,
         )
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    except _RuleError as exc:  # named at the line of the key that sets the value
+        key = "payoff_file" if exc.key == "payoff" and "payoff" not in entries else exc.key
+        raise ValueError(f"{source}:{entries[key][0]}: {exc}") from None
 
 
 def load_problem(path) -> KolmogorovProblem:

@@ -191,6 +191,7 @@ def test_non_positive_counts_are_usage_errors(tmp_path, capsys, argv):
 
 
 CERTIFY = ["certify", "--d", "2", "--eps", "0.1", "--rho", "0.1"]
+SCALING = ["scaling-study", "--dims", "1,2,3"]
 
 
 @pytest.mark.parametrize(
@@ -228,13 +229,33 @@ CERTIFY = ["certify", "--d", "2", "--eps", "0.1", "--rho", "0.1"]
         (CERTIFY + ["--C", "inf"], ["--C "]),
         (CERTIFY + ["--nu", "nan"], ["--nu "]),
         (CERTIFY + ["--gamma", "inf"], ["--gamma "]),
+        # These used to be rejected without naming the flag, or, for a nan
+        # --T, --mu or --sigma, to end as exit 3 "numerical failure".
+        (CERTIFY + ["--d", "0"], ["--d "]),
+        (CERTIFY + ["--eps", "2"], ["--eps "]),
+        (CERTIFY + ["--eps", "nan"], ["--eps "]),
+        (CERTIFY + ["--rho", "0"], ["--rho "]),
+        (CERTIFY + ["--nu", "0.2"], ["--nu "]),
+        (CERTIFY + ["--alpha", "-1"], ["--alpha "]),
+        (SCALING + ["--T", "0"], ["--T "]),
+        (SCALING + ["--T", "nan"], ["--T "]),
+        (SCALING + ["--u", "nan"], ["--u "]),
+        (SCALING + ["--u", "2", "--v", "1"], ["--u ", "--v"]),
+        (SCALING + ["--m-base", "0"], ["--m-base "]),
+        (SCALING + ["--width", "0"], ["--width "]),
+        (SCALING + ["--mu", "nan"], ["--mu "]),
+        (SCALING + ["--sigma", "nan"], ["--sigma "]),
     ],
     ids=["paths_one", "train_paths_one_closed_form", "arch_not_integer", "arch_zero_width",
          "arch_wrong_dimension", "dims_not_integer", "dims_zero", "build_n_zero", "build_retries_zero",
          "evaluate_input_width", "evaluate_output_width", "lr_nan", "lr_negative", "lr_zero",
          "target_zero", "target_nan", "threshold_negative", "threshold_infinite",
          "certify_D_half", "certify_D_zero", "certify_D_negative", "certify_D_nan", "certify_C_nan",
-         "certify_C_infinite", "certify_nu_nan", "certify_gamma_infinite"],
+         "certify_C_infinite", "certify_nu_nan", "certify_gamma_infinite", "certify_d_zero",
+         "certify_eps_two", "certify_eps_nan", "certify_rho_zero", "certify_nu_fifth",
+         "certify_alpha_negative", "scaling_T_zero", "scaling_T_nan", "scaling_u_nan",
+         "scaling_u_above_v", "scaling_m_base_zero", "scaling_width_zero", "scaling_mu_nan",
+         "scaling_sigma_nan"],
 )
 def test_bad_arguments_name_their_flag_or_file(tmp_path, capsys, argv, needles):
     nets = {"wide_in.txt": (4, 3, 1), "wide_out.txt": (1, 3, 2)}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kolnet.analytic import lognormal_capped_put
+from kolnet.cli import main
 from kolnet.constructive import (
     BuildSpec,
     build_mc_network,
@@ -118,6 +119,7 @@ def test_build_report_bounds_hold():
     assert report.bounds.theta_norm == built.max_norm()
     assert report.bounds.max_width == built.architecture.max_width
     assert len(report.retry_errors) == 2
+    assert report.chosen_retry == int(np.argmin(report.retry_errors))
 
 
 def test_basket_d5_build_is_all_ok():
@@ -130,14 +132,21 @@ def test_basket_d5_build_is_all_ok():
 
 
 def test_build_report_csv(tmp_path):
-    prob = put_problem()
-    spec = BuildSpec(n=4, retries=2, grid_size=16, seed=4)
-    _, report = build_mc_network(prob, spec)
-    path = tmp_path / "report.csv"
-    report.save_csv(path)
-    lines = path.read_text().splitlines()
+    # `kolnet build` writes the report with no comment line: one row per
+    # retry, "%.17g" floats, and the chosen retry's theta_norm and
+    # param_count on every row.
+    problem = PROBLEMS / "put_d1_gbm.txt"
+    argv = ["build", str(problem), "--n", "4", "--retries", "2", "--grid", "16",
+            "--paths", "100", "--seed", "4", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "build_report.csv").read_text().splitlines()
     assert lines[0] == "retry,l2_error_estimate,theta_norm,param_count"
     assert len(lines) == 3
+    spec = BuildSpec(n=4, retries=2, grid_size=16, ref_paths=100, seed=4)
+    _, report = build_mc_network(load_problem(problem), spec)
+    b = report.bounds
+    assert lines[1:] == [f"{r},{err:.17g},{b.theta_norm:.17g},{b.param_count}"
+                         for r, err in enumerate(report.retry_errors)]
 
 
 def test_build_deterministic():

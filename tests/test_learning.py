@@ -11,6 +11,7 @@ import pytest
 
 from kolnet import rng, sde
 from kolnet.analytic import capped_put_variance_uniform, lognormal_capped_put
+from kolnet.cli import main
 from kolnet.learning import (
     Dataset,
     TrainConfig,
@@ -308,9 +309,17 @@ def test_train_trace_structure(tmp_path):
     report = train_erm(data, cfg)
     iters = [row[0] for row in report.trace]
     assert iters == sorted(iters)
-    path = tmp_path / "trace.csv"
-    report.save_trace(path)
-    assert path.read_text().splitlines()[0] == "iter,batch_risk,full_risk"
+    # `kolnet train` writes the trace with no comment line: one row per
+    # evaluation, "%.17g" risks.
+    argv = ["train", str(PROBLEMS / "put_d1_gbm.txt"), "--m", "500", "--arch", "1,4,1",
+            "--iters", "300", "--eval-every", "100", "--grid", "16", "--seed", "13",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert lines[0] == "iter,batch_risk,full_risk"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(it) for it, _, _ in rows] == [0, 100, 200, 300]
+    assert all(f"{float(x):.17g}" == x for _, *risks in rows for x in risks)
 
 
 def test_train_monotone_budget():

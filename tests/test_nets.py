@@ -479,6 +479,25 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(Bp, Bq)
 
 
+def test_dense_network_file_matches_the_dense_writer(tmp_path):
+    # Every weight goes through the block-row writer as a one-block stack; a
+    # dense network must come out as the old dense writer, one "%.17g" token
+    # per entry, wrote it (exact zeros of either sign included).
+    p = random_params((3, 5, 4, 1), seed=29, scale=3.0)
+    layers = [(W.copy(), B.copy()) for W, B in p.layers]
+    layers[0][0][1, 2], layers[0][0][2, 0], layers[1][1][1] = 0.0, -0.0, 0.0
+    p = Parametrization(tuple(layers))
+    path = tmp_path / "net.txt"
+    save_network(p, path)
+    row = lambda r: " ".join(f"{x:.17g}" for x in r) + "\n"
+    expected = "arch: 3 5 4 1\n" + "".join(
+        f"W{l}\n" + "".join(map(row, W)) + f"B{l}\n" + row(B)
+        for l, (W, B) in enumerate(p.layers, start=1)
+    )
+    assert path.read_text() == expected
+    assert "-0 " in expected
+
+
 def test_saved_file_has_header(tmp_path):
     p = random_params((2, 3, 1), seed=28)
     path = tmp_path / "net.txt"

@@ -11,7 +11,7 @@ import pytest
 
 from kolnet import rng, sde
 from kolnet.analytic import lognormal_capped_put
-from kolnet.nets import Parametrization, put_payoff_network, realize
+from kolnet.nets import Parametrization, put_payoff_network, realize, save_network
 from kolnet.sde import (
     AffineCoefficients,
     KolmogorovProblem,
@@ -137,6 +137,44 @@ def test_gbm_coefficients_shape_and_flag():
     assert np.allclose(x @ coeffs.A.T + coeffs.b, 0.05 * x)
     sig = diffusion(coeffs, np.array([1.0, 2.0]))
     assert np.allclose(sig, np.diag([0.2, 0.4]))
+
+
+def test_diffusion_matrices_are_one_array():
+    g = np.random.default_rng(3)
+    mats = [g.normal(size=(2, 2)) for _ in range(3)]
+    stored = [AffineCoefficients(np.eye(2), np.zeros(2), C).C
+              for C in (tuple(mats), mats, np.array(mats))]
+    for C in stored:
+        assert C.shape == (3, 2, 2) and C.dtype == np.float64
+        assert np.array_equal(C, np.array(mats))
+    with pytest.raises(ValueError):
+        AffineCoefficients(np.eye(2), np.zeros(2), [mats[0], mats[1], np.eye(3)])
+    with pytest.raises(ValueError, match="diffusion matrices"):
+        AffineCoefficients(np.eye(2), np.zeros(2), mats[:2])
+
+
+def test_non_finite_coefficients_and_scalars_rejected():
+    # gbm_coefficients(2, nan, 0.2) used to give a problem with gbm_flag False
+    # (nan != nan) that ran Euler and failed at step 0; a nan horizon and an
+    # infinite D or v used to be accepted.
+    for mu, sigma in ((np.nan, 0.2), (0.0, np.inf), ([0.0, -np.inf], 0.2)):
+        with pytest.raises(ValueError, match="finite"):
+            gbm_coefficients(2, mu, sigma)
+    Z = np.zeros((1, 1))
+    for A, b, C in ((Z + np.nan, [0.0], [Z, Z]), (Z, [np.inf], [Z, Z]), (Z, [0.0], [Z, Z - np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            AffineCoefficients(A, b, C)
+    payoff = put_payoff_network([1.0], 1.0)
+    co = gbm_coefficients(1, 0.0, 0.2)
+    for T, D, u, v in ((np.nan, 1.0, 0.5, 1.5), (np.inf, 1.0, 0.5, 1.5), (1.0, np.inf, 0.5, 1.5),
+                       (1.0, np.nan, 0.5, 1.5), (1.0, 1.0, 0.5, np.inf), (1.0, 1.0, -np.inf, 1.5),
+                       (1.0, 1.0, np.nan, 1.5)):
+        with pytest.raises(ValueError):
+            KolmogorovProblem(co, T, payoff, D, u, v)
+    # An infinite or fractional step count used to fail in range() as a TypeError.
+    for steps in (np.inf, 2.5):
+        with pytest.raises(ValueError, match="steps"):
+            KolmogorovProblem(co, 1.0, payoff, 1.0, 0.5, 1.5, steps=steps)
 
 
 def test_problem_validation():
@@ -872,13 +910,24 @@ def test_problem_requires_positive_steps():
         (("steps: 128", "steps: 1e9"), "t.txt:8: 'steps' must be an integer of at most 1048576"),
         (("steps: 128", "steps: 1e300"), "t.txt:8: 'steps' must be an integer of at most 1048576"),
         (("steps: 128", "steps: 1048577"), "t.txt:8: 'steps' must be an integer of at most 1048576"),
+        # A broken KolmogorovProblem rule used to name the file only; u >= v
+        # names the v line.
+        (("u: 0.5", "u: 2.0"), "t.txt:5: require finite u < v"),
+        (("T: 1.0", "T: -1"), "t.txt:6: horizon T must be positive and finite"),
+        (("D: 1.0", "D: 0.5"), "t.txt:7: clip amplitude D must be finite and >= 1"),
+        (("payoff: put 1.0 1.0", "payoff_file: wide.txt"),
+         "t.txt:10: payoff input width must equal problem dimension"),
+        # A repeated key used to be accepted, the last one winning.
+        (("v: 1.5\n", "v: 1.5\nu: 0.7\n"), "t.txt:6: 'u' repeats the key of line 4"),
+        (("payoff: put", "dim: 2\npayoff: put"), "t.txt:10: 'dim' repeats the key of line 3"),
     ],
 )
-def test_problem_text_errors_name_file_and_line(edit, message):
+def test_problem_text_errors_name_file_and_line(tmp_path, edit, message):
+    save_network(put_payoff_network([0.5, 0.5], 1.0), tmp_path / "wide.txt")
     text = PROBLEM_TEXT.replace(*edit)
     assert text != PROBLEM_TEXT
     with pytest.raises(ValueError) as exc:
-        problem_from_text(text, source="t.txt")
+        problem_from_text(text, base_dir=tmp_path, source="t.txt")
     assert str(exc.value) == message
 
 
