@@ -417,6 +417,8 @@ def _positive_ints(flag: str, text: str) -> tuple:
 
 
 def _check_args(args) -> None:
+    if not 0 <= getattr(args, "seed", 0) < 2**64:  # a stream key is one uint64
+        raise UsageError("--seed must be an integer in [0, 2**64)")
     for name in ("grid", "paths", "m", "iters", "batch", "eval_every", "n", "retries",
                  "d", "width", "m_base"):
         value = getattr(args, name, None)
@@ -461,6 +463,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's names the allocation; a bare one is empty
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
     except (SimulationError, OverflowError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .nets import ClippedNetwork, Parametrization, _row_blocks, load_network, put_payoff_network
+from .nets import ClippedNetwork, Parametrization, _freeze, _row_blocks, load_network, put_payoff_network
 
 __all__ = [
     "AffineCoefficients",
@@ -76,10 +76,10 @@ class AffineCoefficients:
     C: np.ndarray  # (d+1, d, d): C_0, C_1, ..., C_d; a sequence of matrices is stacked
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.float64)
+        # Read-only copies: a write into the caller's arrays cannot change the
+        # dynamics behind KolmogorovProblem.gbm_flag.  Ragged matrices raise ValueError.
+        A, b, C = (_freeze(x) for x in (self.A, self.b, self.C))
         d = A.shape[0]
-        b = np.asarray(self.b, dtype=np.float64)
-        C = np.asarray(self.C, dtype=np.float64)  # ragged matrices raise ValueError
         if A.shape != (d, d) or b.shape != (d,):
             raise ValueError("drift shapes inconsistent")
         if C.shape != (d + 1, d, d):
@@ -110,16 +110,16 @@ class AffineCoefficients:
 
     def is_diagonal_gbm(self) -> bool:
         """True when the dynamics are exactly simulable geometric Brownian motion:
-        the coefficients equal the gbm_coefficients of their own diagonals."""
+        b = 0, and the only nonzeros are on A's diagonal and at C_i's (i, i) entry
+        (1-based), counted in place with no second (d+1, d, d) array."""
         i = np.arange(self.dim)
-        gbm = gbm_coefficients(self.dim, self.A[i, i], self.C[i + 1, i, i])
-        pairs = (self.A, gbm.A), (self.b, gbm.b), (self.C, gbm.C)
-        return all(np.array_equal(x, y) for x, y in pairs)
+        return (np.count_nonzero(self.A) == np.count_nonzero(self.A[i, i]) and not self.b.any()
+                and np.count_nonzero(self.C) == np.count_nonzero(self.C[i + 1, i, i]))
 
 
 def gbm_coefficients(d: int, mu_rate, sigma_rate) -> AffineCoefficients:
     """Diagonal geometric Brownian motion: dS_i = mu_i S_i dt + s_i S_i dB_i."""
-    mu = np.broadcast_to(np.asarray(mu_rate, dtype=np.float64), (d,)).copy()
+    mu = np.broadcast_to(np.asarray(mu_rate, dtype=np.float64), (d,))
     sig = np.broadcast_to(np.asarray(sigma_rate, dtype=np.float64), (d,))
     C = np.zeros((d + 1, d, d))
     i = np.arange(d)
@@ -448,9 +448,7 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
         bound = "at least 1" if d < 1 else f"at most {_MAX_FILE_DIM}"
         raise ValueError(f"{source}:{entries['dim'][0]}: 'dim' must be {bound}")
     u, v, T, D = scalar("u"), scalar("v"), scalar("T"), scalar("D")
-    steps = scalar("steps", float, 128)
-    if steps < 1:
-        raise ValueError(f"{source}:{entries['steps'][0]}: 'steps' must be at least 1")
+    steps = scalar("steps", float, 128)  # KolmogorovProblem's rule holds it to >= 1
     if steps != int(steps) or steps > _MAX_FILE_STEPS:
         raise ValueError(
             f"{source}:{entries['steps'][0]}: 'steps' must be an integer of at most {_MAX_FILE_STEPS}"

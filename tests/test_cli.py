@@ -135,7 +135,7 @@ payoff: put 1.0 1.0
     [
         (GBM_D1.replace("gbm: 0.0 0.2\n", ""), ": needs 'gbm' or 'drift_matrix'"),
         (GBM_D1.replace("put 1.0 1.0", "put 1.0"), ":8: 'payoff' needs 2 values, got 1"),
-        (EULER_D1.format(a="0.0").replace("steps: 16", "steps: 0"), ":6: 'steps' must be at least 1"),
+        (EULER_D1.format(a="0.0").replace("steps: 16", "steps: 0"), ":6: steps must be an integer >= 1"),
         (GBM_D1.replace("payoff: put 1.0 1.0", "payoff_file:"), ":8: 'payoff_file' needs a file name"),
         (GBM_D1.replace("steps: 16", "steps: inf"), ":6: 'steps' holds a value that is not finite"),
         (EULER_D1.format(a="0.0").replace("steps: 16", "steps: 1e9"),
@@ -245,6 +245,9 @@ SCALING = ["scaling-study", "--dims", "1,2,3"]
         (SCALING + ["--width", "0"], ["--width "]),
         (SCALING + ["--mu", "nan"], ["--mu "]),
         (SCALING + ["--sigma", "nan"], ["--sigma "]),
+        # Seeds key uint64 streams: these used to end as exit 3 "numerical failure".
+        (["simulate", PUT_D1, "--seed", "-1"], ["--seed "]),
+        (["simulate", PUT_D1, "--seed", str(2**64)], ["--seed "]),
     ],
     ids=["paths_one", "train_paths_one_closed_form", "arch_not_integer", "arch_zero_width",
          "arch_wrong_dimension", "dims_not_integer", "dims_zero", "build_n_zero", "build_retries_zero",
@@ -255,7 +258,7 @@ SCALING = ["scaling-study", "--dims", "1,2,3"]
          "certify_eps_two", "certify_eps_nan", "certify_rho_zero", "certify_nu_fifth",
          "certify_alpha_negative", "scaling_T_zero", "scaling_T_nan", "scaling_u_nan",
          "scaling_u_above_v", "scaling_m_base_zero", "scaling_width_zero", "scaling_mu_nan",
-         "scaling_sigma_nan"],
+         "scaling_sigma_nan", "seed_negative", "seed_above_uint64"],
 )
 def test_bad_arguments_name_their_flag_or_file(tmp_path, capsys, argv, needles):
     nets = {"wide_in.txt": (4, 3, 1), "wide_out.txt": (1, 3, 2)}
@@ -266,7 +269,7 @@ def test_bad_arguments_name_their_flag_or_file(tmp_path, capsys, argv, needles):
     argv = [str(tmp_path / a) if a in nets else a for a in argv]
     needles = [str(tmp_path / n) if n in nets else n for n in needles]
     out = tmp_path / "out"
-    seed = [] if argv[0] == "certify" else ["--seed", "1"]  # certify draws nothing
+    seed = [] if argv[0] == "certify" or "--seed" in argv else ["--seed", "1"]  # certify draws nothing
     code = run(argv + seed + ["--out-dir", str(out)])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
@@ -304,6 +307,21 @@ def test_simulate_overflowing_exact_gbm_is_numeric_failure(tmp_path, capsys):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert code == EXIT_NUMERIC
     assert "non-finite terminal value (exact GBM)" in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
+def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch, message):
+    # train --m 1000000000000 used to end in numpy's _ArrayMemoryError traceback, exit 1.
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate_dataset", exhausted)
+    code = run(["train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--seed", "1",
+                "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: out of memory: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_simulate_reproducible(tmp_path):

@@ -1,5 +1,8 @@
 """Tests for the network data model and the explicit constructions."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -58,6 +61,21 @@ def random_maps(rs, n, d):
     """(n, d, d) and (n, d) stacks of n maps, each drawn as M_j then N_j."""
     pairs = [(rs.randn(d, d), rs.randn(d)) for _ in range(n)]
     return np.array([M for M, _ in pairs]), np.array([N for _, N in pairs])
+
+
+# ---------------------------------------------------------------------------
+# Layering
+
+
+def test_nets_and_bounds_load_without_sampling_or_scipy():
+    # The package namespace used to re-export every module's names, so
+    # importing any module ran kolnet.sde and kolnet.rng and loaded scipy.
+    probe = ("import sys, kolnet.nets, kolnet.bounds; print(' '.join(m for m in sys.modules"
+             " if m.startswith('scipy') or m in ('kolnet.sde', 'kolnet.rng')))")
+    env = {**os.environ, "PYTHONPATH": str(PROBLEMS.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.split() == []
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,20 @@ def test_gbm_coefficients_shape_and_flag():
     assert np.allclose(sig, np.diag([0.2, 0.4]))
 
 
+def test_diagonal_gbm_is_exactly_the_gbm_pattern():
+    # One nonzero anywhere but A[i, i] or C_{i+1}[i, i] makes the dynamics Euler;
+    # the zero mu_1 and s_1 check that a zero diagonal counts alike.
+    base = gbm_coefficients(3, [0.05, 0.0, -0.1], [0.2, 0.0, 0.3])
+    arrays = {"A": base.A, "b": base.b, "C": base.C}
+    pattern = {"A": {(j, j) for j in range(3)}, "b": set(), "C": {(j + 1, j, j) for j in range(3)}}
+    for name, x in arrays.items():
+        for idx in np.ndindex(x.shape):
+            y = x.copy()
+            y[idx] += 0.5
+            coeffs = AffineCoefficients(**{**arrays, name: y})
+            assert coeffs.is_diagonal_gbm() == (idx in pattern[name]), (name, idx)
+
+
 def test_diffusion_matrices_are_one_array():
     g = np.random.default_rng(3)
     mats = [g.normal(size=(2, 2)) for _ in range(3)]
@@ -151,6 +165,23 @@ def test_diffusion_matrices_are_one_array():
         AffineCoefficients(np.eye(2), np.zeros(2), [mats[0], mats[1], np.eye(3)])
     with pytest.raises(ValueError, match="diffusion matrices"):
         AffineCoefficients(np.eye(2), np.zeros(2), mats[:2])
+
+
+def test_coefficients_are_frozen_copies():
+    # The coefficients used to alias the caller's arrays, so a write into C
+    # gave a GBM problem a nonzero C_0 while gbm_flag, computed once, stayed
+    # True and the exact-GBM branch went on ignoring C_0.
+    A, b, C = np.diag([0.05]), np.zeros(1), np.array([[[0.0]], [[0.2]]])
+    prob = generic_problem(AffineCoefficients(A, b, C), d=1)
+    X0, keys = np.full((64, 1), 1.0), rng.stream_key(np.arange(64, dtype=np.uint64))
+    before = terminal_values(prob, X0, keys)
+    for x in (A, b, C):
+        x[...] = 0.5
+    assert prob.gbm_flag and prob.coeffs.is_diagonal_gbm()
+    assert terminal_values(prob, X0, keys).tobytes() == before.tobytes()
+    for x in (prob.coeffs.A, prob.coeffs.b, prob.coeffs.C):
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0.5
 
 
 def test_non_finite_coefficients_and_scalars_rejected():
@@ -887,7 +918,7 @@ def test_problem_requires_positive_steps():
     [
         (("gbm: 0.0 0.2\n", ""), "t.txt: needs 'gbm' or 'drift_matrix'"),
         (("payoff: put 1.0 1.0", "payoff: put 1.0"), "t.txt:10: 'payoff' needs 2 values, got 1"),
-        (("steps: 128", "steps: 0"), "t.txt:8: 'steps' must be at least 1"),
+        (("steps: 128", "steps: 0"), "t.txt:8: steps must be an integer >= 1"),
         (("u: 0.5", "u: half"), "t.txt:4: 'u' holds a value that is not a number"),
         (("dim: 1", "dim: 0"), "t.txt:3: 'dim' must be at least 1"),
         (("T: 1.0\n", ""), "t.txt: missing key 'T'"),
