@@ -116,8 +116,8 @@ def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
     Each retry draws n independent terminal affine maps with substream
     drivers, composes them with the payoff network, and estimates the L2
     error on a shared seeded Monte-Carlo reference grid; the best retry
-    wins.  The winner's construction caps are checked: RuntimeError unless
-    ``verify_construction_bounds`` reports them ``all_ok``.
+    wins.  Each retry's caps are checked as it is built: RuntimeError unless
+    ``verify_construction_bounds`` reports the winner's ``all_ok``.
     """
     d = problem.dim
     grid_key = rng.stream_key(rng.child_seeds(spec.seed, 0xD1CE))
@@ -125,16 +125,17 @@ def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
     ref_seed = rng.child_seed(spec.seed, 0xEF)
     ref_vals, _ = mc_reference_grid(problem, grid, spec.ref_paths, ref_seed)
 
-    errors, chosen = [], None  # chosen: (retry, network, maps) of the least error so far
+    errors, chosen = [], None  # chosen: (retry, network, bounds) of the least error so far
     for retry in range(spec.retries):
         map_seeds = rng.child_seeds(rng.child_seed(spec.seed, retry + 1), np.arange(spec.n))
         M, N = extract_affine_batch(problem, map_seeds)
         candidate = compose_average(problem.payoff, M, N)
+        bounds = verify_construction_bounds(candidate, problem.payoff, M, N)
+        del M, N  # the maps are not needed to score, so one retry's are held at a time
         errors.append(l2_error(ClippedNetwork(candidate, problem.clip_amplitude), grid, ref_vals))
         if chosen is None or errors[-1] < errors[chosen[0]]:  # a tie keeps the first
-            chosen = retry, candidate, (M, N)
-    retry, built, maps = chosen
-    bounds = verify_construction_bounds(built, problem.payoff, *maps)
+            chosen = retry, candidate, bounds
+    retry, built, bounds = chosen
     if not bounds.all_ok:
         raise RuntimeError(f"construction bounds violated: {bounds}")
     return built, BuildReport(retry_errors=errors, chosen_retry=retry, bounds=bounds)

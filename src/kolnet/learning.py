@@ -132,12 +132,13 @@ def _init_params(arch: Architecture, gen: np.random.Generator, constant_only: bo
     return theta
 
 
-def _forward_backward(layers, gWs, gBs, X, Y, D, acts, deltas):
+def _forward_backward(layers, gWs, gBs, X, Y, D, acts):
     """Quadratic loss on the clipped output of the (W, B) ``layers``: returns
     the batch risk, writes the gradients into gWs, gBs.
 
-    acts[l] and deltas[l] are (batch, a_{l+1}) work buffers for layer l+1's
-    activation (the pre-activation for the output layer) and its
+    acts[l] is a (batch, a_{l+1}) work buffer that holds layer l+1's
+    activation (the pre-activation for the output layer) on the forward
+    pass and, once layer l+1's weight gradient is formed, its
     back-propagated residual.  The clip passes gradient 1 strictly inside
     (-D, D) and 0 outside (subgradient 0 at the kink).
     """
@@ -145,17 +146,18 @@ def _forward_backward(layers, gWs, gBs, X, Y, D, acts, deltas):
     raw = _forward(layers, X, acts)[:, 0]
     res = np.clip(raw, -D, D) - Y
     risk = float(np.mean(res**2))
-    deltas[last][:, 0] = np.where(np.abs(raw) < D, 2.0 * res / X.shape[0], 0.0)
+    acts[last][:, 0] = np.where(np.abs(raw) < D, 2.0 * res / X.shape[0], 0.0)
     for l in range(last, -1, -1):
-        dz = deltas[l]
+        dz = acts[l]
         np.matmul(dz.T, acts[l - 1] if l > 0 else X, out=gWs[l])
         np.sum(dz, axis=0, out=gBs[l])
         if l > 0:
+            active = acts[l - 1] > 0
             if l == last:  # output width 1: dz @ W is an outer product
-                np.multiply(dz, layers[l][0], out=deltas[l - 1])
+                np.multiply(dz, layers[l][0], out=acts[l - 1])
             else:
-                np.matmul(dz, layers[l][0], out=deltas[l - 1])
-            deltas[l - 1] *= acts[l - 1] > 0
+                np.matmul(dz, layers[l][0], out=acts[l - 1])
+            acts[l - 1] *= active
     return risk
 
 
@@ -171,7 +173,7 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
     Parameters, gradients and both Adam moments are flat buffers (weights
     first, then biases) with per-layer views, so an Adam step is one
     vectorised update; with ``constant_only`` it covers the bias tail only.
-    The batch-sized layer buffers are allocated once per run.
+    One batch-sized buffer per layer is allocated once per run.
     """
     if data.m == 0:
         raise ValueError("empty dataset")
@@ -188,7 +190,6 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
     X = np.empty((batch, data.d))
     Y = np.empty(batch)
     acts = [np.empty((batch, w)) for w in arch.widths[1:]]
-    deltas = [np.empty((batch, w)) for w in arch.widths[1:]]
     n_trained = sum(arch.widths[1:]) if config.constant_only else theta.size  # bias tail
     p, g = theta[-n_trained:], grad[-n_trained:]
     m1, m2 = np.zeros_like(p), np.zeros_like(p)
@@ -208,7 +209,7 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
         idx = gen.integers(0, data.m, size=batch)
         np.take(data.inputs, idx, axis=0, out=X)
         np.take(data.labels, idx, out=Y)
-        risk = _forward_backward(layers, gWs, gBs, X, Y, D, acts, deltas)
+        risk = _forward_backward(layers, gWs, gBs, X, Y, D, acts)
         if not np.isfinite(risk) or risk > divergence_cap:
             raise RuntimeError(
                 f"training diverged at iteration {it} (batch risk {risk}); trace: {trace}"

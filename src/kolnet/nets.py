@@ -306,15 +306,8 @@ def compose_average(eta: Parametrization, M: np.ndarray, N: np.ndarray) -> Param
 
 
 def _format_rows(W: np.ndarray) -> list:
-    """Rows of a 2-D array as space-separated ``%.17g`` tokens.
-
-    Only entries other than +0.0 go through the formatter; each +0.0 is
-    written as its token "0" directly, which keeps sparse rows cheap.
-    """
-    keep = (W != 0) | np.signbit(W)
-    tokens = np.full(W.shape, "0", dtype=object)
-    tokens[keep] = [f"{x:.17g}" for x in W[keep].tolist()]
-    return [" ".join(row) for row in tokens.tolist()]
+    """Rows of a 2-D array as space-separated ``%.17g`` tokens ("0" and "-0" for zeros)."""
+    return [" ".join(map("{:.17g}".format, row)) for row in W.tolist()]
 
 
 def save_network(params: Parametrization, path) -> None:

@@ -1,11 +1,13 @@
 """Tests for the Monte-Carlo network builder and its size/norm guarantees."""
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kolnet import rng
 from kolnet.analytic import lognormal_capped_put
 from kolnet.cli import main
 from kolnet.constructive import (
@@ -23,6 +25,7 @@ from kolnet.nets import (
 from kolnet.sde import (
     AffineCoefficients,
     KolmogorovProblem,
+    extract_affine_batch,
     gbm_coefficients,
     load_problem,
 )
@@ -129,6 +132,33 @@ def test_basket_d5_build_is_all_ok():
     _, report = build_mc_network(prob, BuildSpec(n=64, grid_size=8, ref_paths=100))
     assert report.bounds.all_ok
     assert report.bounds.max_width == 64 < report.bounds.width_cap == 320
+
+
+BASKET_SPEC = BuildSpec(n=2048, retries=3, grid_size=64, ref_paths=4000, seed=0)
+
+
+def test_build_holds_one_retrys_maps_at_a_time():
+    # Each retry's bounds are checked as it is built and its (n, d, d), (n, d)
+    # maps dropped before scoring: 2.39 MiB traced, against 3.33 MiB when the
+    # winner's maps were kept to the end beside the next retry's.
+    prob = load_problem(PROBLEMS / "basket_put_d5.txt")
+    build_mc_network(prob, BASKET_SPEC)
+    tracemalloc.start()
+    try:
+        build_mc_network(prob, BASKET_SPEC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.8 * 2**20
+
+
+def test_build_bounds_belong_to_the_chosen_retry():
+    prob = load_problem(PROBLEMS / "basket_put_d5.txt")
+    built, report = build_mc_network(prob, BASKET_SPEC)
+    assert report.chosen_retry == 2
+    seeds = rng.child_seeds(rng.child_seed(BASKET_SPEC.seed, 3), np.arange(BASKET_SPEC.n))
+    M, N = extract_affine_batch(prob, seeds)
+    assert report.bounds == verify_construction_bounds(built, prob.payoff, M, N)
 
 
 def test_build_report_csv(tmp_path):

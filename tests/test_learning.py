@@ -172,6 +172,25 @@ def test_dataset_memory_is_bounded():
     assert peak - data.inputs.nbytes - data.labels.nbytes <= 4 * 2**20
 
 
+def test_train_memory_is_one_buffer_per_layer():
+    # At the bench shapes each layer's batch buffer holds its activation and
+    # then its residual: 3.24 MiB traced, against 3.75 MiB with a second
+    # buffer per layer for the residuals.
+    prob = load_problem(PROBLEMS / "basket_put_d5.txt")
+    data = generate_dataset(prob, 100_000, seed=0)
+    cfg = TrainConfig(
+        architecture=Architecture((5, 64, 64, 1)), clip_amplitude=prob.clip_amplitude,
+        batch_size=512, step_size=3e-3, iterations=20, eval_every=500, seed=0,
+    )
+    tracemalloc.start()
+    try:
+        train_erm(data, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
+
+
 def test_dataset_freezes_its_own_views_not_the_callers_arrays():
     X, Y = np.zeros((4, 2)), np.ones(4)
     data = Dataset(X, Y)
