@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -111,7 +112,7 @@ class Parametrization:
                 )
         object.__setattr__(self, "layers", tuple(frozen))
 
-    @property
+    @cached_property
     def architecture(self) -> Architecture:
         shapes = [_dense_shape(W) for W, _ in self.layers]
         return Architecture((shapes[0][1],) + tuple(rows for rows, _ in shapes))
@@ -307,7 +308,8 @@ def compose_average(eta: Parametrization, M: np.ndarray, N: np.ndarray) -> Param
 
 def _format_rows(W: np.ndarray) -> list:
     """Rows of a 2-D array as space-separated ``%.17g`` tokens ("0" and "-0" for zeros)."""
-    return [" ".join(map("{:.17g}".format, row)) for row in W.tolist()]
+    fmt = " ".join(["%.17g"] * W.shape[1])
+    return [fmt % tuple(row) for row in W.tolist()]
 
 
 def save_network(params: Parametrization, path) -> None:
@@ -315,20 +317,21 @@ def save_network(params: Parametrization, path) -> None:
 
     Every weight is written as its dense matrix, one row per line, by one
     row writer for block stacks (a dense matrix is the stack of one block).
-    Rows go to the file as they are formatted; a row is a slice of one
-    shared run of "0 " tokens, its block's tokens and another such slice,
-    so working memory is one row plus the formatted blocks, never the file.
+    Rows go to the file as they are formatted: a row is three writes, a
+    slice of one shared run of "0 " tokens, its block's tokens and a slice
+    of one shared run of " 0" tokens ending in the newline, so working
+    memory is one row plus the formatted blocks, never the file.
     """
-    with open(path, "w") as fh:
+    with open(path, "w", buffering=1 << 20) as fh:
         fh.write("arch: " + " ".join(str(w) for w in params.architecture.widths) + "\n")
         for l, (W, B) in enumerate(params.layers, start=1):
             fh.write(f"W{l}\n")
             n, out_w, in_w = W.reshape(-1, *W.shape[-2:]).shape
-            zeros = "0 " * (n * in_w)
+            zeros, tail = "0 " * (n * in_w), " 0" * (n * in_w) + "\n"
             for k, row in enumerate(_format_rows(W.reshape(n * out_w, in_w))):
-                before, after = k // out_w * in_w, (n - 1 - k // out_w) * in_w
-                fh.write(zeros[: 2 * before] + row + zeros[1 : 2 * after + 1] + "\n")
-            fh.write(f"B{l}\n" + _format_rows(B[None, :])[0] + "\n")
+                block = k // out_w
+                fh.writelines((zeros[: 2 * block * in_w], row, tail[2 * (block + 1) * in_w :]))
+            fh.write(f"B{l}\n{_format_rows(B[None, :])[0]}\n")
 
 
 def _zero_run(found, most: int) -> int:

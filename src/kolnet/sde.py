@@ -15,6 +15,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +168,7 @@ class KolmogorovProblem:
     def dim(self) -> int:
         return self.coeffs.dim
 
-    @property
+    @cached_property
     def clipped_payoff(self) -> ClippedNetwork:
         return ClippedNetwork(self.payoff, self.clip_amplitude)
 
@@ -247,7 +248,9 @@ def terminal_values(problem: KolmogorovProblem, X0, keys) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64)
     X0 = np.asarray(X0, dtype=np.float64)
     n = len(keys)
-    if X0.ndim not in (2, 3) or X0.shape[:2] != (n, d) or not np.all(np.isfinite(X0)):
+    # A start broadcast over the paths (stride 0, as mc_feynman_kac passes x) is one row.
+    if (X0.ndim not in (2, 3) or X0.shape[:2] != (n, d)
+            or not np.isfinite(X0[:1] if X0.strides[0] == 0 else X0).all()):
         raise ValueError(f"X0 must be a finite ({n}, {d}) array or ({n}, {d}, c) stack, got {X0.shape}")
     if problem.gbm_flag:
         i = np.arange(d)

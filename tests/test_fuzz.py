@@ -1,8 +1,10 @@
-"""Fuzz tests for the two text parsers: problem files and network files.
+"""Fuzz tests for the two text parsers (problem files and network files) and
+the network writer's row formatter.
 
 One value token of a valid file is replaced by drawn text.  The result must
 either parse into an object whose every number is finite, or raise
-ValueError whose message starts with the file's name.
+ValueError whose message starts with the file's name.  The row formatter
+must write every finite float64 as its per-token ``%.17g`` format.
 """
 
 import tempfile
@@ -12,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolnet.nets import Parametrization, compose_average, load_network, save_network
+from kolnet.nets import Parametrization, _format_rows, compose_average, load_network, save_network
 from kolnet.sde import problem_from_text
 
 PROBLEM = Path(__file__).resolve().parent.parent / "problems" / "put_d1_gbm.txt"
@@ -130,3 +132,34 @@ def test_network_parser_parses_finite_or_names_file(slot, text):
 @given(slot=st.sampled_from(BLOCK_SLOTS), text=VALUE_TEXT)
 def test_block_network_parser_parses_finite_or_names_file(slot, text):
     _parse_network_or_name_file(replace_token(BLOCK_LINES, slot, text))
+
+
+# Signed zeros, the smallest and largest subnormals, the smallest normal and
+# the largest finite values.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+FINITE_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def per_token_rows(W):
+    return [" ".join(f"{x:.17g}" for x in row) for row in W.tolist()]
+
+
+@FUZZ
+@given(rows=st.integers(1, 64).flatmap(
+    lambda w: st.lists(st.lists(FINITE_FLOATS, min_size=w, max_size=w), min_size=1, max_size=2)))
+def test_row_formatter_matches_per_token_format(rows):
+    W = np.array(rows, dtype=np.float64)
+    assert _format_rows(W) == per_token_rows(W)
+
+
+@settings(FUZZ, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_row_formatter_matches_per_token_format_on_a_2048_wide_row(seed):
+    # The width of W3 and B2 in a build at n = 2048.  Uniform bit patterns
+    # spread the exponent over its whole range, subnormals included.
+    gen = np.random.default_rng(seed)
+    row = gen.integers(0, 2**64, size=2048, dtype=np.uint64, endpoint=False).view(np.float64)
+    row[~np.isfinite(row)] = 1.0
+    row[gen.choice(2048, len(EDGE_FLOATS), replace=False)] = EDGE_FLOATS
+    assert _format_rows(row[None, :]) == per_token_rows(row[None, :])

@@ -92,6 +92,15 @@ def test_architecture_derived_quantities():
     assert a.param_count == (5 * 3 + 5) + (2 * 5 + 2) + (1 * 2 + 1)
 
 
+def test_architecture_is_built_once_and_evaluate_keeps_its_bits():
+    p = random_params((4, 7, 5, 1), seed=0)
+    X = np.random.RandomState(3).uniform(-2, 2, size=(50, 4))
+    fresh = evaluate(random_params((4, 7, 5, 1), seed=0), X)
+    assert p.architecture is p.architecture
+    assert np.array_equal(evaluate(p, X), fresh)
+    assert np.array_equal(evaluate(p, X), fresh)
+
+
 def test_architecture_rejects_bad_widths():
     with pytest.raises(ValueError):
         Architecture((3,))

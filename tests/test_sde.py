@@ -4,6 +4,7 @@ Monte-Carlo expectation oracle."""
 import multiprocessing
 import threading
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from kolnet import rng, sde
 from kolnet.analytic import lognormal_capped_put
-from kolnet.nets import Parametrization, put_payoff_network, realize, save_network
+from kolnet.nets import Parametrization, evaluate, put_payoff_network, realize, save_network
 from kolnet.sde import (
     AffineCoefficients,
     KolmogorovProblem,
@@ -240,7 +241,7 @@ def test_single_step_brownian_motion_exact():
 
 @pytest.mark.parametrize(
     "X0", [np.ones((3, 1)), np.ones((2, 2)), np.ones(2), np.array([[1.0], [np.nan]]),
-           np.ones((3, 1, 2)), np.ones((2, 1, 1, 1))]
+           np.ones((3, 1, 2)), np.ones((2, 1, 1, 1)), np.broadcast_to(np.array([np.inf]), (2, 1))]
 )
 def test_terminal_values_rejects_bad_start_points(X0):
     keys = rng.stream_key(np.arange(2, dtype=np.uint64))
@@ -734,6 +735,26 @@ def test_mc_requires_two_paths():
     prob = put_problem()
     with pytest.raises(ValueError):
         mc_feynman_kac(prob, np.array([1.0]), 1, seed=0)
+
+
+def test_clipped_payoff_is_built_once_and_keeps_its_bits():
+    prob = put_problem(d=3, D=2.0)
+    X = np.random.RandomState(4).uniform(-3, 3, size=(300, 3))
+    assert prob.clipped_payoff is prob.clipped_payoff
+    want = np.clip(evaluate(prob.payoff, X)[:, 0], -2.0, 2.0)
+    assert np.array_equal(prob.clipped_payoff(X), want)
+    assert np.array_equal(prob.clipped_payoff(X), want)
+    # A replaced problem gets its own clipped payoff, not the cached one.
+    assert replace(prob, clip_amplitude=1.5).clipped_payoff.clip_amplitude == 1.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["gbm", "euler"])
+def test_mc_rejects_a_non_finite_start(kind, bad):
+    # x is broadcast over the paths, and terminal_values checks it as the one row it is.
+    prob = put_problem(d=2) if kind == "gbm" else generic_problem(random_affine_coeffs(2, 3), d=2)
+    with pytest.raises(ValueError, match=r"X0 must be a finite \(100, 2\) array"):
+        mc_feynman_kac(prob, np.array([1.0, bad]), 100, seed=0)
 
 
 def test_mc_reproducible():
