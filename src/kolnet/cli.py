@@ -24,7 +24,7 @@ from .bounds import (
     put_family,
     scaling_audit,
 )
-from .constructive import BuildSpec, build_mc_network
+from .constructive import build_mc_network
 from .learning import (
     TrainConfig,
     generate_dataset,
@@ -124,16 +124,14 @@ def _closed_form_reference(problem: KolmogorovProblem, points: np.ndarray):
     return lognormal_capped_put(points[:, 0], c, cap, mu, sig, problem.horizon)
 
 
-def _score(problem: KolmogorovProblem, net: ClippedNetwork, args):
-    """(l2_error, noise_floor, reference kind) of ``net`` on the evaluation grid:
-    against the closed form where it applies, else ``args.paths`` paths per point."""
-    points = _grid_points(problem, args.grid, args.seed)
+def _score(problem: KolmogorovProblem, net: ClippedNetwork, grid: int, paths: int, seed: int):
+    """(l2_error, noise_floor, reference kind) of ``net`` on a ``grid``-point grid: against
+    the closed form where it applies, else ``paths`` Monte-Carlo paths per point."""
+    points = _grid_points(problem, grid, seed)
     values = _closed_form_reference(problem, points)
     if values is not None:
         return l2_error(net, points, values), 0.0, "closed_form"
-    values, std_errors = mc_reference_grid(
-        problem, points, args.paths, rng.child_seed(args.seed, 0xE7A1)
-    )
+    values, std_errors = mc_reference_grid(problem, points, paths, rng.child_seed(seed, 0xE7A1))
     return l2_error(net, points, values), noise_floor(std_errors), "monte_carlo"
 
 
@@ -171,14 +169,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_build(args) -> int:
     problem = load_problem(args.problem)
-    spec = BuildSpec(
-        n=args.n,
-        retries=args.retries,
-        grid_size=args.grid,
-        ref_paths=args.paths,
-        seed=args.seed,
-    )
-    built, report = build_mc_network(problem, spec)
+    built, report = build_mc_network(problem, args.n, args.retries, grid_size=args.grid,
+                                     ref_paths=args.paths, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_network(built, out_dir / "built_network.txt")
@@ -195,36 +187,34 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _run_pipeline(problem, args, out_dir: Path, comment: str):
-    """generate -> train -> evaluate against reference; returns summary dict."""
-    widths = _positive_ints("--arch", args.arch)
-    if len(widths) < 2 or widths[0] != problem.dim or widths[-1] != 1:
-        raise UsageError(f"--arch {args.arch} must run from the problem dimension {problem.dim} to 1")
+def _run_pipeline(problem, args, widths, m: int, seed: int, bound, out_dir: Path, comment: str):
+    """generate -> train -> evaluate against reference; returns summary dict.
+    Training and reference flags come from ``args``; ``bound`` None: no projection."""
     arch = Architecture(widths)
-    data = generate_dataset(problem, args.m, args.seed)
+    data = generate_dataset(problem, m, seed)
     config = TrainConfig(
         architecture=arch,
         clip_amplitude=problem.clip_amplitude,
-        parameter_bound=args.R if args.project else None,
+        parameter_bound=bound,
         batch_size=args.batch,
         step_size=args.lr,
         iterations=args.iters,
         eval_every=args.eval_every,
-        seed=rng.child_seed(args.seed, 0x7124),
+        seed=rng.child_seed(seed, 0x7124),
     )
     fit = train_erm(data, config)
     # Scoring does not need the dataset.  Freeing it first also raises glibc's
     # adaptive mmap threshold past the reference grid's per-point arrays, so
     # they are reused from the heap instead of faulted in afresh at each point.
     del data
-    err, floor, ref_kind = _score(problem, fit.network, args)
+    err, floor, ref_kind = _score(problem, fit.network, args.grid, args.paths, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_network(fit.trained, out_dir / "trained_network.txt")
     trace = [(it, f"{br:.17g}", f"{fr:.17g}") for it, br, fr in fit.trace]
     _write_csv(out_dir / "trace.csv", "iter,batch_risk,full_risk", trace)
     summary = {
         "d": problem.dim,
-        "m": args.m,
+        "m": m,
         "architecture": "-".join(str(w) for w in arch.widths),
         "final_empirical_risk": fit.final_risk,
         "l2_error": err,
@@ -242,11 +232,13 @@ def _run_pipeline(problem, args, out_dir: Path, comment: str):
 
 def cmd_train(args) -> int:
     problem = load_problem(args.problem)
+    widths = _positive_ints("--arch", args.arch)
+    if len(widths) < 2 or widths[0] != problem.dim or widths[-1] != 1:
+        raise UsageError(f"--arch {args.arch} must run from the problem dimension {problem.dim} to 1")
     out_dir = Path(args.out_dir)
     t0 = time.perf_counter()
-    summary = _run_pipeline(
-        problem, args, out_dir, f"config_hash={_config_hash(args)} seed={args.seed}"
-    )
+    comment = f"config_hash={_config_hash(args)} seed={args.seed}"
+    summary = _run_pipeline(problem, args, widths, args.m, args.seed, args.R, out_dir, comment)
     for k, v in summary.items():
         print(f"  {k}: {v}")
     # Timing goes to stdout only: summary.csv must be byte-identical across reruns.
@@ -265,7 +257,7 @@ def cmd_evaluate(args) -> int:
             f"but {args.problem} needs {problem.dim} inputs and 1 output"
         )
     net = ClippedNetwork(params, problem.clip_amplitude)
-    err, floor, ref_kind = _score(problem, net, args)
+    err, floor, ref_kind = _score(problem, net, args.grid, args.paths, args.seed)
     out = Path(args.out_dir) / "evaluation.csv"
     _write_csv(
         out,
@@ -280,8 +272,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_scaling_study(args) -> int:
     dims = _positive_ints("--dims", args.dims)
-    if len(set(dims)) < 3:
-        raise UsageError("scaling study needs at least 3 distinct dimensions")
+    if len(set(dims)) < max(len(dims), 3):  # a repeated d would train twice into one d<k>/
+        raise UsageError(f"--dims needs 3 distinct dimensions or more, none repeated: {args.dims!r}")
     out_dir = Path(args.out_dir)
     rows = []
     results = []
@@ -296,15 +288,9 @@ def cmd_scaling_study(args) -> int:
             v=args.v,
         )
         m = int(args.m_base * d**2)
-        sub = argparse.Namespace(
-            m=m, arch=f"{d},{args.width},{args.width},1", R=None, batch=args.batch,
-            lr=args.lr, iters=args.iters, eval_every=args.eval_every,
-            grid=args.grid, paths=args.paths, seed=rng.child_seed(args.seed, d),
-            project=False,
-        )
-        summary = _run_pipeline(
-            problem, sub, out_dir / f"d{d}", f"config_hash={_config_hash(args)} d={d}"
-        )
+        summary = _run_pipeline(problem, args, (d, args.width, args.width, 1), m,
+                                rng.child_seed(args.seed, d), None, out_dir / f"d{d}",
+                                f"config_hash={_config_hash(args)} d={d}")
         hit = summary["l2_error"] <= args.target
         all_hit = all_hit and hit
         rows.append(

@@ -17,30 +17,7 @@ from .learning import l2_error
 from .nets import ClippedNetwork, Parametrization, compose_average
 from .sde import KolmogorovProblem, extract_affine_batch, mc_reference_grid
 
-__all__ = ["BuildSpec", "BuildReport", "BoundsReport", "build_mc_network", "verify_construction_bounds"]
-
-
-@dataclass(frozen=True)
-class BuildSpec:
-    """Inputs for the averaged-composition build.
-
-    n is the Monte-Carlo width (number of sampled affine maps); the
-    theoretical guidance is n growing like d^tau / eps.  The best of
-    ``retries`` independent draws is kept, selected by estimated L2 error
-    against an internal Monte-Carlo reference grid.
-    """
-
-    n: int
-    retries: int = 1
-    grid_size: int = 64
-    ref_paths: int = 4000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.retries < 1:
-            raise ValueError("retries must be >= 1")
+__all__ = ["BuildReport", "BoundsReport", "build_mc_network", "verify_construction_bounds"]
 
 
 @dataclass(frozen=True)
@@ -110,24 +87,30 @@ class BuildReport:
     bounds: BoundsReport  # size and magnitude of the chosen network, with their caps
 
 
-def build_mc_network(problem: KolmogorovProblem, spec: BuildSpec):
+def build_mc_network(problem: KolmogorovProblem, n, retries=1, grid_size=64, ref_paths=4000, seed=0):
     """Assemble the averaged-composition network; returns (params, report).
 
-    Each retry draws n independent terminal affine maps with substream
-    drivers, composes them with the payoff network, and estimates the L2
-    error on a shared seeded Monte-Carlo reference grid; the best retry
+    n is the Monte-Carlo width, the number of sampled affine maps (guidance:
+    n growing like d^tau / eps).  Each of ``retries`` draws n independent
+    terminal affine maps with substream drivers, composes them with the
+    payoff network, and estimates the L2 error on a shared seeded reference
+    grid of ``grid_size`` points at ``ref_paths`` paths each; the best retry
     wins.  Each retry's caps are checked as it is built: RuntimeError unless
     ``verify_construction_bounds`` reports the winner's ``all_ok``.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if retries < 1:
+        raise ValueError("retries must be >= 1")
     d = problem.dim
-    grid_key = rng.stream_key(rng.child_seeds(spec.seed, 0xD1CE))
-    grid = rng.hypercube(grid_key, spec.grid_size, d, problem.u, problem.v)
-    ref_seed = rng.child_seed(spec.seed, 0xEF)
-    ref_vals, _ = mc_reference_grid(problem, grid, spec.ref_paths, ref_seed)
+    grid_key = rng.stream_key(rng.child_seeds(seed, 0xD1CE))
+    grid = rng.hypercube(grid_key, grid_size, d, problem.u, problem.v)
+    ref_seed = rng.child_seed(seed, 0xEF)
+    ref_vals, _ = mc_reference_grid(problem, grid, ref_paths, ref_seed)
 
     errors, chosen = [], None  # chosen: (retry, network, bounds) of the least error so far
-    for retry in range(spec.retries):
-        map_seeds = rng.child_seeds(rng.child_seed(spec.seed, retry + 1), np.arange(spec.n))
+    for retry in range(retries):
+        map_seeds = rng.child_seeds(rng.child_seed(seed, retry + 1), np.arange(n))
         M, N = extract_affine_batch(problem, map_seeds)
         candidate = compose_average(problem.payoff, M, N)
         bounds = verify_construction_bounds(candidate, problem.payoff, M, N)

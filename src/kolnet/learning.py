@@ -76,7 +76,7 @@ def empirical_risk(f: ClippedNetwork, data: Dataset) -> float:
     """Mean squared residual (1/m) sum (f(X_i) - Y_i)^2."""
     if f.params.architecture.input_width != data.d:
         raise ValueError("network input width does not match dataset dimension")
-    return float(np.mean(_squared_residuals(f, data.inputs, data.labels)))
+    return l2_error(f, data.inputs, data.labels)
 
 
 @dataclass(frozen=True)

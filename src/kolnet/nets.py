@@ -20,7 +20,6 @@ __all__ = [
     "Architecture",
     "Parametrization",
     "ClippedNetwork",
-    "realize",
     "evaluate",
     "clip_network",
     "clipped_as_standard",
@@ -167,7 +166,9 @@ def evaluate(params: Parametrization, X: np.ndarray) -> np.ndarray:
     Rows go through in chunks of _CHUNK_ROWS (see _row_blocks); each hidden
     layer's chunk buffer is allocated once and reused, so working memory is
     O(chunk * width), not O(n * width).  Every row comes out as in an
-    unchunked pass.
+    unchunked pass.  A batch of one row goes through BLAS's vector-matrix
+    product, so its last bits can differ from the same point's row in a
+    larger batch.
     """
     X = np.asarray(X, dtype=np.float64)
     widths = params.architecture.widths
@@ -180,18 +181,6 @@ def evaluate(params: Parametrization, X: np.ndarray) -> np.ndarray:
     for lo, hi in chunks:
         _forward(params.layers, X[lo:hi], [z[: hi - lo] for z in hidden] + [out[lo:hi]])
     return out
-
-
-def realize(params: Parametrization, x: Sequence[float]) -> np.ndarray:
-    """Network realization at a single input vector.
-
-    One row goes through BLAS's vector-matrix product, so the last bits can
-    differ from the same point's row in a batch ``evaluate``.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if x.shape != (params.architecture.input_width,):
-        raise ValueError(f"input has length {x.shape[0]}, expected {params.architecture.input_width}")
-    return evaluate(params, x[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -270,7 +259,7 @@ def put_payoff_network(c: Sequence[float], D: float) -> Parametrization:
 
 
 def compose_average(eta: Parametrization, M: np.ndarray, N: np.ndarray) -> Parametrization:
-    """Single network computing (1/n) * sum_j realize(eta)(M_j x + N_j).
+    """Single network computing (1/n) * sum_j eta(M_j x + N_j).
 
     M is an (n, d, d) stack and N an (n, d) stack of the n affine maps.
     Block construction: the first layer stacks V_1 M_j rows, middle layers

@@ -390,9 +390,10 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
     ``drift_matrix``/``drift_vector``/``diffusion<i>`` blocks (one row per
     continuation line).  Payoff: ``payoff: put c_1 ... c_d D`` or
     ``payoff_file: path``; dim is at most 256 and steps an integer from 1
-    to 2^20.  Malformed input, a non-finite number or a value that breaks a
-    KolmogorovProblem rule included, raises ValueError naming ``source`` and
-    the offending line (both lines of a repeated key), or the missing key.
+    to 2^20.  Malformed input, a non-finite number, an unreadable payoff
+    file or a value that breaks a KolmogorovProblem rule included, raises
+    ValueError naming ``source`` and the offending line (both lines of a
+    repeated key), or the missing key.
     """
     entries = {}  # key -> (line number, text after the colon, continuation lines)
     current = None
@@ -481,7 +482,10 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
         no, name, _ = entries["payoff_file"]
         if not name:
             raise ValueError(f"{source}:{no}: 'payoff_file' needs a file name")
-        payoff = load_network(Path(base_dir) / name)
+        try:
+            payoff = load_network(Path(base_dir) / name)
+        except OSError as exc:
+            raise ValueError(f"{source}:{no}: {exc}") from None
     else:
         raise ValueError(f"{source}: needs 'payoff' or 'payoff_file'")
     try:

@@ -21,7 +21,7 @@ from kolnet.bounds import (
     sample_complexity_h,
     scaling_audit,
 )
-from kolnet.constructive import BuildSpec, build_mc_network
+from kolnet.constructive import build_mc_network
 from kolnet.learning import (
     TrainConfig,
     bias_variance_report,
@@ -328,8 +328,7 @@ def test_constructive_builder_error_decreases():
         errs = []
         for seed in range(5):
             net, report = build_mc_network(
-                prob,
-                BuildSpec(n=n, retries=1, grid_size=64, ref_paths=2000, seed=seed),
+                prob, n=n, retries=1, grid_size=64, ref_paths=2000, seed=seed
             )
             assert report.bounds.all_ok
             errs.append(l2_error(ClippedNetwork(net, prob.clip_amplitude), *reference))

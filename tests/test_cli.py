@@ -1,14 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import warnings
-from argparse import Namespace
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kolnet import cli, constructive, sde
+from kolnet import cli, constructive, rng, sde
 from kolnet.bounds import kolmogorov_certificate, put_family
 from kolnet.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from kolnet.nets import Architecture, ClippedNetwork, Parametrization, evaluate, save_network
@@ -168,6 +167,18 @@ def test_payoff_file_that_is_a_directory_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert "Is a directory" in err
+
+
+def test_missing_payoff_file_names_the_problem_line(tmp_path, capsys):
+    problem = tmp_path / "p.txt"
+    problem.write_text(
+        GBM_D1.replace("steps: 16\n", "").replace("payoff: put 1.0 1.0", "payoff_file: missing.txt")
+    )
+    code = run(["simulate", str(problem), "--seed", "1", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"{problem}:7: " in err
+    assert "missing.txt" in err and "No such file or directory" in err
 
 
 @pytest.mark.parametrize(
@@ -384,7 +395,7 @@ def test_evaluate_reloaded_build_matches_in_memory_network(tmp_path):
     code = run([
         "build", basket, "--n", "128", "--retries", "2", "--seed", "2",
         "--out-dir", str(tmp_path), "--grid", "8", "--paths", "400",
-    ])  # the same BuildSpec as below
+    ])  # the same build as below
     assert code == EXIT_OK
     code = run([
         "evaluate", basket, str(tmp_path / "built_network.txt"), "--seed", str(seed),
@@ -392,13 +403,12 @@ def test_evaluate_reloaded_build_matches_in_memory_network(tmp_path):
     ])
     assert code == EXIT_OK
     problem = load_problem(basket)
-    built, _ = constructive.build_mc_network(problem, constructive.BuildSpec(
-        n=128, retries=2, grid_size=8, ref_paths=400, seed=2,
-    ))
+    built, _ = constructive.build_mc_network(
+        problem, n=128, retries=2, grid_size=8, ref_paths=400, seed=2
+    )
     assert [W.ndim for W, _ in built.layers] == [2, 3, 2]
     err, floor, kind = cli._score(
-        problem, ClippedNetwork(built, problem.clip_amplitude),
-        Namespace(grid=grid, paths=paths, seed=seed),
+        problem, ClippedNetwork(built, problem.clip_amplitude), grid, paths, seed
     )
     row = (tmp_path / "evaluation.csv").read_text().splitlines()[2].split(",")
     assert kind == "monte_carlo"
@@ -572,6 +582,47 @@ def test_scaling_study_needs_three_dims(tmp_path, capsys):
     ])
     assert code == EXIT_USAGE
     assert "3 distinct" in capsys.readouterr().err
+
+
+def test_scaling_study_rejects_repeated_dims(tmp_path, capsys):
+    # A repeated d would train twice into one d<k>/ directory and count twice
+    # in the slope fit.
+    out_dir = tmp_path / "out"
+    code = run([
+        "scaling-study", "--dims", "1,2,2,3", "--m-base", "10", "--iters", "2",
+        "--grid", "2", "--paths", "10", "--seed", "1", "--out-dir", str(out_dir),
+    ])
+    assert code == EXIT_USAGE
+    assert "--dims" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_scaling_study_runs_the_train_pipeline(tmp_path):
+    # The study's d = 2 run writes what `train` writes for the same problem,
+    # budget m_base * d^2, architecture and the study's child seed for d.
+    flags = ["--iters", "60", "--eval-every", "20", "--batch", "512", "--lr", "0.002",
+             "--grid", "8", "--paths", "500"]
+    study = tmp_path / "study"
+    code = run([
+        "scaling-study", "--dims", "1,2,3", "--m-base", "200", "--width", "8", *flags,
+        "--seed", "4", "--out-dir", str(study),
+    ])
+    assert code in (EXIT_OK, EXIT_NUMERIC)
+    problem = tmp_path / "d2.txt"
+    problem.write_text(
+        "dim: 2\nu: 0.5\nv: 1.5\nT: 1.0\nD: 1.0\ngbm: 0.0 0.2\npayoff: put 0.5 0.5 1.0\n"
+    )
+    train = tmp_path / "train"
+    code = run([
+        "train", str(problem), "--m", "800", "--arch", "2,8,8,1", *flags,
+        "--seed", str(rng.child_seed(4, 2)), "--out-dir", str(train),
+    ])
+    assert code == EXIT_OK
+    for name in ("trained_network.txt", "trace.csv"):
+        assert (train / name).read_bytes() == (study / "d2" / name).read_bytes()
+    # Line 0 is each command's own config-hash comment.
+    summary = [(d / "summary.csv").read_text().splitlines()[1:] for d in (train, study / "d2")]
+    assert summary[0] == summary[1]
 
 
 def test_scaling_study_tiny(tmp_path, capsys):

@@ -11,7 +11,6 @@ from kolnet import rng
 from kolnet.analytic import lognormal_capped_put
 from kolnet.cli import main
 from kolnet.constructive import (
-    BuildSpec,
     build_mc_network,
     verify_construction_bounds,
 )
@@ -75,8 +74,7 @@ def random_maps(rs, n, d):
 
 def test_build_degenerate_sde_equals_payoff():
     prob = degenerate_problem(d=2)
-    spec = BuildSpec(n=8, retries=1, grid_size=32, seed=0)
-    built, report = build_mc_network(prob, spec)
+    built, report = build_mc_network(prob, n=8, retries=1, grid_size=32, seed=0)
     X = np.random.RandomState(0).uniform(0, 1, size=(100, 2))
     diff = np.abs(evaluate(built, X) - evaluate(prob.payoff, X)).max()
     assert diff <= 1e-10
@@ -84,8 +82,7 @@ def test_build_degenerate_sde_equals_payoff():
 
 def test_build_single_map_matches_direct_composition():
     prob = put_problem()
-    spec = BuildSpec(n=1, retries=1, grid_size=16, seed=1)
-    built, report = build_mc_network(prob, spec)
+    built, report = build_mc_network(prob, n=1, retries=1, grid_size=16, seed=1)
     assert report.chosen_retry >= 0
     # A single-term average is eta composed with the one drawn affine map;
     # reproduce it through compose_average on the recorded map data.
@@ -101,8 +98,7 @@ def test_build_error_decreases_with_n():
     ]
 
     def l2_for(n, seed):
-        spec = BuildSpec(n=n, retries=1, grid_size=32, seed=seed)
-        built, _ = build_mc_network(prob, spec)
+        built, _ = build_mc_network(prob, n=n, retries=1, grid_size=32, seed=seed)
         f = ClippedNetwork(built, 1.0)
         pred = f(grid[:, None])
         return float(np.mean((pred - ref) ** 2))
@@ -115,8 +111,7 @@ def test_build_error_decreases_with_n():
 
 def test_build_report_bounds_hold():
     prob = put_problem()
-    spec = BuildSpec(n=32, retries=2, grid_size=32, seed=3)
-    built, report = build_mc_network(prob, spec)
+    built, report = build_mc_network(prob, n=32, retries=2, grid_size=32, seed=3)
     assert report.bounds.all_ok
     assert report.bounds.param_count == built.architecture.param_count
     assert report.bounds.theta_norm == built.max_norm()
@@ -129,12 +124,12 @@ def test_basket_d5_build_is_all_ok():
     # The put payoff's widest layer is its d = 5 input, so the built network
     # is n wide, below the width cap n * max_width(b) = 5n.
     prob = load_problem(PROBLEMS / "basket_put_d5.txt")
-    _, report = build_mc_network(prob, BuildSpec(n=64, grid_size=8, ref_paths=100))
+    _, report = build_mc_network(prob, n=64, grid_size=8, ref_paths=100)
     assert report.bounds.all_ok
     assert report.bounds.max_width == 64 < report.bounds.width_cap == 320
 
 
-BASKET_SPEC = BuildSpec(n=2048, retries=3, grid_size=64, ref_paths=4000, seed=0)
+BASKET_BUILD = dict(n=2048, retries=3, grid_size=64, ref_paths=4000, seed=0)
 
 
 def test_build_holds_one_retrys_maps_at_a_time():
@@ -142,10 +137,10 @@ def test_build_holds_one_retrys_maps_at_a_time():
     # maps dropped before scoring: 2.39 MiB traced, against 3.33 MiB when the
     # winner's maps were kept to the end beside the next retry's.
     prob = load_problem(PROBLEMS / "basket_put_d5.txt")
-    build_mc_network(prob, BASKET_SPEC)
+    build_mc_network(prob, **BASKET_BUILD)
     tracemalloc.start()
     try:
-        build_mc_network(prob, BASKET_SPEC)
+        build_mc_network(prob, **BASKET_BUILD)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -154,9 +149,9 @@ def test_build_holds_one_retrys_maps_at_a_time():
 
 def test_build_bounds_belong_to_the_chosen_retry():
     prob = load_problem(PROBLEMS / "basket_put_d5.txt")
-    built, report = build_mc_network(prob, BASKET_SPEC)
+    built, report = build_mc_network(prob, **BASKET_BUILD)
     assert report.chosen_retry == 2
-    seeds = rng.child_seeds(rng.child_seed(BASKET_SPEC.seed, 3), np.arange(BASKET_SPEC.n))
+    seeds = rng.child_seeds(rng.child_seed(BASKET_BUILD["seed"], 3), np.arange(BASKET_BUILD["n"]))
     M, N = extract_affine_batch(prob, seeds)
     assert report.bounds == verify_construction_bounds(built, prob.payoff, M, N)
 
@@ -172,8 +167,9 @@ def test_build_report_csv(tmp_path):
     lines = (tmp_path / "build_report.csv").read_text().splitlines()
     assert lines[0] == "retry,l2_error_estimate,theta_norm,param_count"
     assert len(lines) == 3
-    spec = BuildSpec(n=4, retries=2, grid_size=16, ref_paths=100, seed=4)
-    _, report = build_mc_network(load_problem(problem), spec)
+    _, report = build_mc_network(
+        load_problem(problem), n=4, retries=2, grid_size=16, ref_paths=100, seed=4
+    )
     b = report.bounds
     assert lines[1:] == [f"{r},{err:.17g},{b.theta_norm:.17g},{b.param_count}"
                          for r, err in enumerate(report.retry_errors)]
@@ -181,9 +177,8 @@ def test_build_report_csv(tmp_path):
 
 def test_build_deterministic():
     prob = put_problem()
-    spec = BuildSpec(n=8, retries=1, grid_size=16, seed=5)
-    b1, r1 = build_mc_network(prob, spec)
-    b2, r2 = build_mc_network(prob, spec)
+    b1, r1 = build_mc_network(prob, n=8, retries=1, grid_size=16, seed=5)
+    b2, r2 = build_mc_network(prob, n=8, retries=1, grid_size=16, seed=5)
     for (Wa, Ba), (Wb, Bb) in zip(b1.layers, b2.layers):
         assert np.array_equal(Wa, Wb)
         assert np.array_equal(Ba, Bb)
@@ -192,8 +187,7 @@ def test_build_deterministic():
 
 def test_built_clipped_output_bounded():
     prob = put_problem(D=1.0)
-    spec = BuildSpec(n=16, retries=1, grid_size=16, seed=6)
-    built, _ = build_mc_network(prob, spec)
+    built, _ = build_mc_network(prob, n=16, retries=1, grid_size=16, seed=6)
     f = ClippedNetwork(built, 1.0)
     X = np.random.RandomState(7).uniform(-3, 3, size=(10000, 1))
     assert np.all(np.abs(f(X)) <= 1.0)
@@ -275,8 +269,9 @@ def test_verify_bounds_theta_cap_matches_per_map_norms():
         assert rep.theta_cap == pytest.approx(want, rel=1e-15, abs=0)
 
 
-def test_build_spec_validation():
-    with pytest.raises(ValueError):
-        BuildSpec(n=0)
-    with pytest.raises(ValueError):
-        BuildSpec(n=4, retries=0)
+def test_build_validation():
+    prob = put_problem()
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        build_mc_network(prob, n=0)
+    with pytest.raises(ValueError, match="retries must be >= 1"):
+        build_mc_network(prob, n=4, retries=0)

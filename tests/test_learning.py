@@ -26,8 +26,8 @@ from kolnet.nets import (
     Architecture,
     ClippedNetwork,
     Parametrization,
+    evaluate,
     put_payoff_network,
-    realize,
 )
 from kolnet.sde import (
     AffineCoefficients,
@@ -80,7 +80,7 @@ def test_dataset_noiseless_labels_equal_payoff():
     prob = noiseless_put_problem(d=2)
     data = generate_dataset(prob, 200, seed=1)
     for x, y in zip(data.inputs, data.labels):
-        assert y == pytest.approx(realize(prob.payoff, x)[0], abs=1e-12)
+        assert y == pytest.approx(evaluate(prob.payoff, [x])[0][0], abs=1e-12)
 
 
 def test_dataset_uniform_law():

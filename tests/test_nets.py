@@ -22,7 +22,6 @@ from kolnet.nets import (
     evaluate,
     load_network,
     put_payoff_network,
-    realize,
     save_network,
 )
 from kolnet.sde import extract_affine_batch, load_problem
@@ -126,12 +125,12 @@ def test_parametrization_shape_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# realize / evaluate
+# realization: evaluate, one row or a batch
 
 
 def test_realize_single_affine_layer():
     p = Parametrization(((np.array([[2.0]]), np.array([1.0])),))
-    assert realize(p, [3.0]) == pytest.approx([7.0])
+    assert evaluate(p, [[3.0]])[0] == pytest.approx([7.0])
 
 
 def test_realize_absolute_value_network():
@@ -141,8 +140,8 @@ def test_realize_absolute_value_network():
     W2 = np.array([[1.0, 1.0]])
     B2 = np.zeros(1)
     p = Parametrization(((W1, B1), (W2, B2)))
-    assert realize(p, [-3.0]) == pytest.approx([3.0])
-    assert realize(p, [2.5]) == pytest.approx([2.5])
+    assert evaluate(p, [[-3.0]])[0] == pytest.approx([3.0])
+    assert evaluate(p, [[2.5]])[0] == pytest.approx([2.5])
 
 
 def test_realize_matches_naive_oracle():
@@ -151,23 +150,23 @@ def test_realize_matches_naive_oracle():
     layer_lists = [([list(r) for r in W], list(B)) for W, B in p.layers]
     for _ in range(10):
         x = rs.uniform(-2, 2, size=4)
-        got = realize(p, x)
+        got = evaluate(p, [x])[0]
         want = naive_forward(layer_lists, x)
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_evaluate_batch_matches_realize():
+def test_evaluate_batch_matches_single_rows():
     p = random_params((3, 6, 1), seed=2)
     X = np.random.RandomState(3).uniform(-1, 1, size=(20, 3))
     Y = evaluate(p, X)
     for i in range(20):
-        assert Y[i] == pytest.approx(realize(p, X[i]), abs=1e-14)
+        assert Y[i] == pytest.approx(evaluate(p, [X[i]])[0], abs=1e-14)
 
 
 def test_realize_dimension_mismatch():
     p = random_params((3, 2, 1), seed=4)
-    with pytest.raises(ValueError):
-        realize(p, [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"expected \(n, 3\)"):
+        evaluate(p, [[1.0, 2.0]])
 
 
 def test_realize_piecewise_affine_continuity():
@@ -199,9 +198,9 @@ def test_clip_network_exact_weights():
 
 def test_clip_network_pointwise_values():
     p = clip_network(1.0)
-    assert realize(p, [0.0]) == pytest.approx([0.0])
-    assert realize(p, [2.0]) == pytest.approx([1.0])
-    assert realize(p, [-0.5]) == pytest.approx([-0.5])
+    assert evaluate(p, [[0.0]])[0] == pytest.approx([0.0])
+    assert evaluate(p, [[2.0]])[0] == pytest.approx([1.0])
+    assert evaluate(p, [[-0.5]])[0] == pytest.approx([-0.5])
 
 
 def test_clip_network_zero_error_on_grid():
@@ -233,9 +232,9 @@ def test_put_payoff_values():
     c = np.array([0.5, 0.5])
     p = put_payoff_network(c, 1.0)
     assert p.architecture.widths == (2, 1, 1, 1)
-    assert realize(p, [0.0, 0.0]) == pytest.approx([1.0])
-    assert realize(p, [2.0, 2.0]) == pytest.approx([0.0])
-    assert realize(p, [0.5, 0.5]) == pytest.approx([0.5])
+    assert evaluate(p, [[0.0, 0.0]])[0] == pytest.approx([1.0])
+    assert evaluate(p, [[2.0, 2.0]])[0] == pytest.approx([0.0])
+    assert evaluate(p, [[0.5, 0.5]])[0] == pytest.approx([0.5])
 
 
 def test_put_payoff_exact_weights():
@@ -275,9 +274,9 @@ def test_put_payoff_rejects_nonpositive_cap():
 def test_clipped_as_standard_identity_net():
     p = Parametrization(((np.array([[1.0]]), np.array([0.0])),))
     q = clipped_as_standard(p, 1.0)
-    assert realize(q, [5.0]) == pytest.approx([1.0])
-    assert realize(q, [-5.0]) == pytest.approx([-1.0])
-    assert realize(q, [0.25]) == pytest.approx([0.25])
+    assert evaluate(q, [[5.0]])[0] == pytest.approx([1.0])
+    assert evaluate(q, [[-5.0]])[0] == pytest.approx([-1.0])
+    assert evaluate(q, [[0.25]])[0] == pytest.approx([0.25])
 
 
 def test_clipped_as_standard_matches_direct_composition():

@@ -12,7 +12,7 @@ import pytest
 
 from kolnet import rng, sde
 from kolnet.analytic import lognormal_capped_put
-from kolnet.nets import Parametrization, evaluate, put_payoff_network, realize, save_network
+from kolnet.nets import Parametrization, evaluate, put_payoff_network, save_network
 from kolnet.sde import (
     AffineCoefficients,
     KolmogorovProblem,
@@ -691,7 +691,7 @@ def test_mc_deterministic_sde_zero_se():
     x = np.array([0.25, 0.25])
     est, se = mc_feynman_kac(prob, x, 100, seed=0)
     assert se == 0.0
-    assert est == pytest.approx(realize(prob.payoff, x)[0], abs=1e-12)
+    assert est == pytest.approx(evaluate(prob.payoff, [x])[0][0], abs=1e-12)
 
 
 def test_mc_symmetric_noise_near_zero():
@@ -891,7 +891,7 @@ def test_problem_from_text_gbm():
     assert prob.gbm_flag
     assert prob.horizon == 1.0
     assert prob.clip_amplitude == 1.0
-    assert realize(prob.payoff, [0.5])[0] == pytest.approx(0.5)
+    assert evaluate(prob.payoff, [[0.5]])[0][0] == pytest.approx(0.5)
 
 
 def test_problem_from_text_explicit_matrices():
