@@ -20,7 +20,6 @@ __all__ = [
     "ApproximationFamily",
     "Certificate",
     "lipschitz_bound",
-    "lipschitz_bound_sharp",
     "ball_covering_log",
     "network_covering_log",
     "generalization_failure_log",
@@ -63,16 +62,6 @@ def lipschitz_bound(spec: ClassSpec) -> float:
     L = spec.architecture.depth
     w = spec.architecture.max_width
     return 2.0 * spec.domain_scale * L**2 * spec.R ** (L - 1) * float(w) ** L
-
-
-def lipschitz_bound_sharp(spec: ClassSpec) -> float:
-    """Sharper per-layer form: m*L*R^(L-1)*||a||^L + sum_l l*(R*||a||)^(l-1)."""
-    L = spec.architecture.depth
-    w = float(spec.architecture.max_width)
-    m = spec.domain_scale
-    return m * L * spec.R ** (L - 1) * w**L + sum(
-        l * (spec.R * w) ** (l - 1) for l in range(1, L + 1)
-    )
 
 
 def ball_covering_log(n: int, R: float, r: float) -> float:
@@ -133,36 +122,27 @@ def sample_complexity_h(x1, x2, x3, x4, x5, D, u, v) -> float:
     )
 
 
-def _sample_count(h: float) -> int:
-    """ceil(h) as an int; OverflowError beyond the int64 range."""
+def _samples(eps, rho, R_width, P, L, D, u, v) -> int:
+    """ceil(h(1/eps, ln 1/rho, ln R_width, P, L, D, u, v)) as an int; OverflowError beyond int64."""
+    h = sample_complexity_h(1.0 / eps, math.log(1.0 / rho), math.log(R_width), P, L, D, u, v)
     m = math.ceil(h)
     if m > np.iinfo(np.int64).max:
         raise OverflowError(f"sample count {h:.3e} exceeds 64-bit range")
     return int(m)
 
 
-def required_samples(eps: float, rho: float, spec: ClassSpec, approximation_form: bool = True) -> int:
+def required_samples(eps: float, rho: float, spec: ClassSpec) -> int:
     """Smallest integer m certified by the sample-complexity formula.
 
-    With ``approximation_form`` the first argument is 2/eps (the variant used
-    when an eps/2 approximator is known); otherwise 1/eps.
+    Where an eps/2 approximator is known, call it at eps/2 (h's first
+    argument is then 2/eps).
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     if not 0 < rho < 1:
         raise ValueError("rho must be in (0, 1)")
     a = spec.architecture
-    x1 = (2.0 if approximation_form else 1.0) / eps
-    return _sample_count(sample_complexity_h(
-        x1,
-        math.log(1.0 / rho),
-        math.log(spec.R * a.max_width),
-        a.param_count,
-        a.depth,
-        spec.D,
-        spec.u,
-        spec.v,
-    ))
+    return _samples(eps, rho, spec.R * a.max_width, a.param_count, a.depth, spec.D, spec.u, spec.v)
 
 
 @dataclass(frozen=True)
@@ -257,16 +237,7 @@ def kolmogorov_certificate(
     R_cap = max(1.0, C * d**r_exp_d * eps ** (-r_exp_e))
     depth = b_arch.depth
     width_cap = C * d**tau * eps ** (-1.0) * b_arch.max_width
-    m = _sample_count(sample_complexity_h(
-        2.0 / eps,
-        math.log(1.0 / rho),
-        math.log(max(R_cap * width_cap, 1.0)),
-        param_cap,
-        float(depth),
-        D,
-        u,
-        v,
-    ))
+    m = _samples(eps / 2.0, rho, max(R_cap * width_cap, 1.0), param_cap, depth, D, u, v)
     provenance = {
         "P(a)": f"C*d^{p_exp_d:g}*eps^-{p_exp_e:g}",
         "R": f"C*d^{r_exp_d:g}*eps^-{r_exp_e:g}",

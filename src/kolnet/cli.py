@@ -70,8 +70,11 @@ def _config_hash(args: argparse.Namespace) -> str:
     # leaving it out makes reruns into different directories byte-identical.
     # A network file counts by its bytes, so copies of it hash alike.  The
     # problem file still counts by its path: the artifact digests recorded in
-    # bench/digests.json pin the hashes written from it.
+    # bench/digests.json pin the hashes written from it.  --arch and --dims
+    # count by their parsed integers, so "1, 2,3" and "01,2,3" hash as 1,2,3.
     config = {k: str(v) for k, v in vars(args).items() if k not in ("func", "out_dir")}
+    for k in {"arch", "dims"} & config.keys():
+        config[k] = ",".join(map(str, _positive_ints(f"--{k}", config[k])))
     if "network" in config:
         config["network"] = _file_sha256(args.network)
     blob = repr(sorted(config.items()))

@@ -1,6 +1,7 @@
 """Tests for the certificate calculators: Lipschitz constants, covering
 numbers, concentration bounds, sample complexity, and scaling audits."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from kolnet.bounds import (
     generalization_failure_log,
     kolmogorov_certificate,
     lipschitz_bound,
-    lipschitz_bound_sharp,
     network_covering_log,
     put_family,
     required_samples,
@@ -55,18 +55,6 @@ def test_lipschitz_bound_monotone_in_R():
 def test_lipschitz_bound_rejects_small_R():
     with pytest.raises(ValueError):
         ClassSpec(Architecture((1, 1)), R=0.5, D=1.0, u=0.0, v=1.0)
-
-
-def test_lipschitz_sharp_at_most_coarse():
-    rs = np.random.RandomState(0)
-    for _ in range(20):
-        L = rs.randint(1, 5)
-        widths = tuple(int(w) for w in rs.randint(1, 8, size=L + 1))
-        spec = ClassSpec(
-            Architecture(widths), R=float(rs.uniform(1, 3)), D=1.0,
-            u=float(-rs.uniform(0, 2)), v=float(rs.uniform(0.5, 2)),
-        )
-        assert lipschitz_bound_sharp(spec) <= lipschitz_bound(spec) + 1e-9
 
 
 def test_lipschitz_empirical_conformance_small():
@@ -223,7 +211,7 @@ def test_h_positive_and_monotone(x1, x2, x3, x4, x5):
 
 def test_required_samples_is_integer_ceiling():
     spec = ClassSpec(Architecture((1, 4, 1)), R=2.0, D=1.0, u=0.0, v=1.0)
-    m = required_samples(0.1, 0.05, spec, approximation_form=False)
+    m = required_samples(0.1, 0.05, spec)
     a = spec.architecture
     want = sample_complexity_h(
         10.0, math.log(20.0), math.log(2.0 * a.max_width),
@@ -233,9 +221,10 @@ def test_required_samples_is_integer_ceiling():
 
 
 def test_required_samples_approximation_form_doubles_x1():
+    # With an eps/2 approximator known, the count is taken at eps/2: x1 = 2/eps.
     spec = ClassSpec(Architecture((1, 4, 1)), R=2.0, D=1.0, u=0.0, v=1.0)
-    m_gen = required_samples(0.1, 0.05, spec, approximation_form=False)
-    m_app = required_samples(0.1, 0.05, spec, approximation_form=True)
+    m_gen = required_samples(0.1, 0.05, spec)
+    m_app = required_samples(0.1 / 2, 0.05, spec)
     assert m_app > m_gen
     a = spec.architecture
     want = sample_complexity_h(
@@ -243,6 +232,21 @@ def test_required_samples_approximation_form_doubles_x1():
         a.param_count, a.depth, 1.0, 0.0, 1.0,
     )
     assert m_app == math.ceil(want)
+
+
+@pytest.mark.parametrize("widths", [(1, 4, 1), (5, 64, 64, 1), (3, 8, 8, 8, 1), (2, 1)])
+def test_required_samples_is_least_m_the_lemmas_certify(widths):
+    # Covering the class at radius eps/(32 D) and a union bound over the
+    # cover fail with log-probability at most ln rho from m samples on; m is
+    # the first count where they do.
+    for R, D, (u, v), eps, rho in itertools.product(
+            (1.0, 2.5), (1.0, 2.0), ((0.0, 1.0), (0.5, 1.5), (-3.0, 2.0)), (0.5, 0.1, 0.01), (0.1, 0.01)):
+        spec = ClassSpec(Architecture(widths), R=R, D=D, u=u, v=v)
+        m = required_samples(eps, rho, spec)
+        ln_cov = network_covering_log(spec, eps / (32.0 * D))
+        case, ln_rho = (R, D, u, v, eps, rho), math.log(rho)
+        assert generalization_failure_log(ln_cov, m, eps, D) <= ln_rho + 1e-9 * abs(ln_rho), case
+        assert generalization_failure_log(ln_cov, m - 1, eps, D) > ln_rho, case
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +300,23 @@ def test_certificate_put_family_exponents():
         assert cert.depth == 3
         assert cert.samples >= 1
         assert isinstance(cert.samples, int)
+
+
+@pytest.mark.parametrize(
+    "fam", [put_family(), ApproximationFamily(nu=1.0, alpha=0.2, kappa=0.5, lmbda=1.0)], ids=["put", "general"]
+)
+def test_certificate_samples_are_h_at_its_own_caps(fam):
+    grid = itertools.product((1, 5, 20), (0.5, 0.1, 0.01), (0.1, 0.01), (1.0, 3.0), (1.0, 2.0))
+    for d, eps, rho, C, D in grid:
+        try:
+            cert = kolmogorov_certificate(d, eps, rho, fam, put_arch_of_delta(d), C, D=D)
+        except OverflowError:  # the general family at d = 20, eps = 0.01, D = 2 counts past int64
+            continue
+        want = sample_complexity_h(
+            2.0 / eps, math.log(1.0 / rho), math.log(max(cert.R_cap * cert.width_cap, 1.0)),
+            cert.param_cap, cert.depth, D, 0.0, 1.0,
+        )
+        assert cert.samples == math.ceil(want), (d, eps, rho, C, D)
 
 
 def test_certificate_rows_have_formulas():

@@ -2,7 +2,6 @@
 
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +12,8 @@ from kolnet.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from kolnet.nets import Architecture, ClippedNetwork, Parametrization, evaluate, save_network
 from kolnet.sde import load_problem
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+from helpers import PROBLEMS
+
 PUT_D1 = str(PROBLEMS / "put_d1_gbm.txt")
 EULER_BASKET_D5 = PROBLEMS.parent / "bench" / "problems" / "euler_basket_d5.txt"
 
@@ -543,6 +543,19 @@ def test_evaluate_hashes_network_bytes_not_path(tmp_path, capsys):
         ]) == EXIT_OK
     a, b = ((tmp_path / name / "evaluation.csv").read_bytes() for name in ("a", "b"))
     assert a == b
+
+
+@pytest.mark.parametrize("argv, spellings, want", [
+    # The bench's train command line: its summary.csv pins this hash.
+    (["train", "problems/basket_put_d5.txt", "--m", "100000", "--arch", "{}", "--batch", "512",
+      "--lr", "3e-3", "--iters", "3000", "--eval-every", "500", "--grid", "64", "--paths", "20000",
+      "--seed", "0"], ("5,64,64,1", "5, 64,64,1", "05,64,64,1"), "9d911b5dbaa4"),
+    (["scaling-study", "--dims", "{}", "--seed", "4"], ("1,2,3", "1, 2, 3", "01,2,3"), "d119182f89e4"),
+], ids=["arch", "dims"])
+def test_config_hash_reads_arch_and_dims_as_integers(argv, spellings, want):
+    for spelling in spellings:
+        args = cli.build_parser().parse_args([w.format(spelling) for w in argv])
+        assert cli._config_hash(args) == want, spelling
 
 
 def test_train_missing_args_usage_error(tmp_path):

@@ -1,8 +1,6 @@
 """Tests for the Monte-Carlo network builder and its size/norm guarantees."""
 
-import dataclasses
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,27 +20,12 @@ from kolnet.nets import (
     put_payoff_network,
 )
 from kolnet.sde import (
-    AffineCoefficients,
     KolmogorovProblem,
     extract_affine_batch,
-    gbm_coefficients,
     load_problem,
 )
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
-
-
-def zero_coeffs(d):
-    Z = np.zeros((d, d))
-    return AffineCoefficients(Z, np.zeros(d), tuple(Z.copy() for _ in range(d + 1)))
-
-
-def put_problem(d=1, mu=0.0, sigma=0.2, D=1.0, u=0.5, v=1.5):
-    payoff = put_payoff_network(np.full(d, 1.0 / d), D)
-    return KolmogorovProblem(
-        coeffs=gbm_coefficients(d, mu, sigma), horizon=1.0, payoff=payoff,
-        clip_amplitude=D, u=u, v=v,
-    )
+from helpers import PROBLEMS, put_problem, random_maps, zero_coeffs
 
 
 def degenerate_problem(d=2, D=1.0):
@@ -60,12 +43,6 @@ def random_eta(d, seed):
     W2 = rs.uniform(-1, 1, size=(1, 4))
     B2 = rs.uniform(-1, 1, size=1)
     return Parametrization(((W1, B1), (W2, B2)))
-
-
-def random_maps(rs, n, d):
-    """(n, d, d) and (n, d) stacks of n maps, each drawn as M_j then N_j."""
-    pairs = [(rs.randn(d, d), rs.randn(d)) for _ in range(n)]
-    return np.array([M for M, _ in pairs]), np.array([N for _, N in pairs])
 
 
 # ---------------------------------------------------------------------------

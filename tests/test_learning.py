@@ -4,7 +4,6 @@ error-decomposition report."""
 import tracemalloc
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,25 +29,12 @@ from kolnet.nets import (
     put_payoff_network,
 )
 from kolnet.sde import (
-    AffineCoefficients,
     KolmogorovProblem,
-    gbm_coefficients,
     load_problem,
     terminal_values,
 )
 
-
-def zero_coeffs(d):
-    Z = np.zeros((d, d))
-    return AffineCoefficients(Z, np.zeros(d), tuple(Z.copy() for _ in range(d + 1)))
-
-
-def put_problem(d=1, mu=0.0, sigma=0.2, T=1.0, D=1.0, u=0.5, v=1.5):
-    payoff = put_payoff_network(np.full(d, 1.0 / d), D)
-    return KolmogorovProblem(
-        coeffs=gbm_coefficients(d, mu, sigma), horizon=T, payoff=payoff,
-        clip_amplitude=D, u=u, v=v,
-    )
+from helpers import PROBLEMS, put_problem, zero_coeffs
 
 
 def noiseless_put_problem(d=1, D=1.0, u=0.5, v=1.5):
@@ -100,7 +86,6 @@ def test_dataset_regeneration_identical():
     assert not np.array_equal(a.labels, c.labels)
 
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 BLOCK = sde._BLOCK_ROWS
 
 

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from kolnet.nets import (
 )
 from kolnet.sde import extract_affine_batch, load_problem
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+from helpers import PROBLEMS, random_maps
 
 
 def naive_forward(layers, x):
@@ -54,12 +53,6 @@ def random_params(widths, seed, scale=1.0):
         B = rs.uniform(-scale, scale, size=fan_out)
         layers.append((W, B))
     return Parametrization(tuple(layers))
-
-
-def random_maps(rs, n, d):
-    """(n, d, d) and (n, d) stacks of n maps, each drawn as M_j then N_j."""
-    pairs = [(rs.randn(d, d), rs.randn(d)) for _ in range(n)]
-    return np.array([M for M, _ in pairs]), np.array([N for _, N in pairs])
 
 
 # ---------------------------------------------------------------------------

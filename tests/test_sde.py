@@ -12,7 +12,7 @@ import pytest
 
 from kolnet import rng, sde
 from kolnet.analytic import lognormal_capped_put
-from kolnet.nets import Parametrization, evaluate, put_payoff_network, save_network
+from kolnet.nets import evaluate, put_payoff_network, save_network
 from kolnet.sde import (
     AffineCoefficients,
     KolmogorovProblem,
@@ -26,10 +26,7 @@ from kolnet.sde import (
     terminal_values,
 )
 
-
-def zero_coeffs(d):
-    Z = np.zeros((d, d))
-    return AffineCoefficients(Z, np.zeros(d), tuple(Z.copy() for _ in range(d + 1)))
+from helpers import put_problem, zero_coeffs
 
 
 def brownian_coeffs(d):
@@ -45,21 +42,6 @@ def random_affine_coeffs(d, seed, scale=0.3):
     b = scale * rs.randn(d)
     C = tuple(scale * rs.randn(d, d) for _ in range(d + 1))
     return AffineCoefficients(A, b, C)
-
-
-def put_problem(d=1, mu=0.0, sigma=0.2, T=1.0, D=1.0, u=0.5, v=1.5, steps=128, c=None):
-    if c is None:
-        c = np.full(d, 1.0 / d)
-    payoff = put_payoff_network(np.asarray(c, dtype=float), D)
-    return KolmogorovProblem(
-        coeffs=gbm_coefficients(d, mu, sigma),
-        horizon=T,
-        payoff=payoff,
-        clip_amplitude=D,
-        u=u,
-        v=v,
-        steps=steps,
-    )
 
 
 def generic_problem(coeffs, d, T=1.0, D=2.0, u=-1.0, v=1.0, steps=64):
