@@ -42,12 +42,12 @@ class ClassSpec:
     v: float
 
     def __post_init__(self):
-        if self.R < 1:
-            raise ValueError("parameter bound R must be >= 1")
-        if self.D < 1:
-            raise ValueError("clip amplitude D must be >= 1")
-        if not self.u < self.v:
-            raise ValueError("require u < v")
+        if not 1 <= self.R < math.inf:
+            raise ValueError("parameter bound R must be finite and >= 1")
+        if not 1 <= self.D < math.inf:
+            raise ValueError("clip amplitude D must be finite and >= 1")
+        if not -math.inf < self.u < self.v < math.inf:
+            raise ValueError("require finite u < v")
 
     @property
     def domain_scale(self) -> float:
@@ -111,8 +111,9 @@ def sample_complexity_h(x1, x2, x3, x4, x5, D, u, v) -> float:
     h(x) = 128 D^4 x1^2 [ ln 2 + x2 + x3 x4 x5
                           + x4 ln(128 D max{1,|u|,|v|} x1 x5^2) ].
     """
-    if min(x1, x2, x3, x4, x5) < 0 or x1 <= 0 or x5 <= 0:
-        raise ValueError("arguments must be positive (x2, x3, x4 may be zero)")
+    if min(x1, x2, x3, x4, x5) < 0 or x1 <= 0 or x5 <= 0 or not all(
+            map(math.isfinite, (x1, x2, x3, x4, x5, D, u, v))):
+        raise ValueError("arguments must be finite and positive (x2, x3, x4 may be zero)")
     scale = max(1.0, abs(u), abs(v))
     return (
         128.0
@@ -198,35 +199,23 @@ class Certificate:
         ]
 
 
-def kolmogorov_certificate(
-    d: int,
-    eps: float,
-    rho: float,
-    fam: ApproximationFamily,
-    b_arch: Architecture,
-    C: float,
-    D: float = 1.0,
-    u: float = 0.0,
-    v: float = 1.0,
-) -> Certificate:
-    """Assemble the size/sample certificate for a d-dimensional problem.
+def kolmogorov_certificate(problem, eps: float, rho: float, fam: ApproximationFamily,
+                           C: float) -> Certificate:
+    """Size/sample certificate for ``problem``, a ``kolnet.sde.KolmogorovProblem``.
 
-    ``b_arch`` is the architecture b of the payoff network.  The scale
-    constant C is user-supplied (the underlying results only assert its
-    existence); exponents in d and 1/eps are recorded separately in the
-    provenance so scaling audits are constant-free.  The companion accuracy is delta = (4C)^-1 d^(-tau/2)
-    eps^(1/2).
+    d, the payoff architecture b, the clip D and the domain [u, v]^d are read
+    from the problem.  The scale constant C is user-supplied (the underlying
+    results only assert its existence); exponents in d and 1/eps are recorded
+    in the provenance so scaling audits are constant-free.  The companion
+    accuracy is delta = (4C)^-1 d^(-tau/2) eps^(1/2).
     """
     if C is None or not 0 < C < math.inf:
         raise ValueError("scale constant C must be supplied, positive and finite")
-    if not 1 <= D < math.inf:
-        raise ValueError("clip amplitude D must be finite and >= 1")
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     if not 0 < rho < 1:
         raise ValueError("rho must be in (0, 1)")
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    d, b_arch = problem.dim, problem.payoff.architecture
     tau = fam.tau
     delta = min(1.0 - 1e-12, (1.0 / (4.0 * C)) * d ** (-tau / 2.0) * eps**0.5)
     p_exp_d = tau * (fam.lmbda / 2.0 + 2.0) + fam.gamma
@@ -237,7 +226,8 @@ def kolmogorov_certificate(
     R_cap = max(1.0, C * d**r_exp_d * eps ** (-r_exp_e))
     depth = b_arch.depth
     width_cap = C * d**tau * eps ** (-1.0) * b_arch.max_width
-    m = _samples(eps / 2.0, rho, max(R_cap * width_cap, 1.0), param_cap, depth, D, u, v)
+    m = _samples(eps / 2.0, rho, max(R_cap * width_cap, 1.0), param_cap, depth,
+                 problem.clip_amplitude, problem.u, problem.v)
     provenance = {
         "P(a)": f"C*d^{p_exp_d:g}*eps^-{p_exp_e:g}",
         "R": f"C*d^{r_exp_d:g}*eps^-{r_exp_e:g}",

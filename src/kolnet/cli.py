@@ -68,8 +68,8 @@ def _file_sha256(path) -> str:
 def _config_hash(args: argparse.Namespace) -> str:
     # The output directory is where results land, not what the experiment is;
     # leaving it out makes reruns into different directories byte-identical.
-    # A network file counts by its bytes, so copies of it hash alike.  The
-    # problem file still counts by its path: the artifact digests recorded in
+    # A network file counts by its bytes, so copies of it hash alike.  A
+    # problem file (certify's too) counts by its path: the artifact digests in
     # bench/digests.json pin the hashes written from it.  --arch and --dims
     # count by their parsed integers, so "1, 2,3" and "01,2,3" hash as 1,2,3.
     config = {k: str(v) for k, v in vars(args).items() if k not in ("func", "out_dir")}
@@ -139,16 +139,15 @@ def _score(problem: KolmogorovProblem, net: ClippedNetwork, grid: int, paths: in
 
 
 def cmd_certify(args) -> int:
+    problem = load_problem(args.problem)
     fam = ApproximationFamily(**{f.name: getattr(args, f.name)
                                  for f in dataclasses.fields(ApproximationFamily)})
-    cert = kolmogorov_certificate(
-        args.d, args.eps, args.rho, fam, Architecture((args.d, 1, 1, 1)), C=args.C, D=args.D
-    )
+    cert = kolmogorov_certificate(problem, args.eps, args.rho, fam, args.C)
     rows = [(q, v, f'"{formula}"') for q, v, formula in cert.rows()]
     out = Path(args.out_dir) / "certificate.csv"
     _write_csv(out, "quantity,value,formula", rows, f"config_hash={_config_hash(args)}")
     width = max(len(q) for q, _, _ in cert.rows())
-    print(f"certificate for d={args.d} eps={args.eps} rho={args.rho} C={args.C}")
+    print(f"certificate for {args.problem} eps={args.eps} rho={args.rho} C={args.C}")
     for q, v, formula in cert.rows():
         print(f"  {q:<{width}}  {v:<24}  {formula}")
     print(f"wrote {out}")
@@ -332,11 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="print size/sample certificates")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("problem")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--C", type=float, default=1.0, help="scale constant (existential; default 1)")
-    p.add_argument("--D", type=float, default=1.0)
     for name, default in dataclasses.asdict(put_family()).items():
         p.add_argument(f"--{name}", type=float, default=default)
     p.add_argument("--out-dir", default="out")
@@ -409,7 +407,7 @@ def _check_args(args) -> None:
     if not 0 <= getattr(args, "seed", 0) < 2**64:  # a stream key is one uint64
         raise UsageError("--seed must be an integer in [0, 2**64)")
     for name in ("grid", "paths", "m", "iters", "batch", "eval_every", "n", "retries",
-                 "d", "width", "m_base"):
+                 "width", "m_base"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be a positive integer")

@@ -24,6 +24,8 @@ from kolnet.bounds import (
 )
 from kolnet.nets import Architecture, Parametrization, evaluate
 
+from helpers import put_problem
+
 
 # ---------------------------------------------------------------------------
 # lipschitz_bound
@@ -55,6 +57,12 @@ def test_lipschitz_bound_monotone_in_R():
 def test_lipschitz_bound_rejects_small_R():
     with pytest.raises(ValueError):
         ClassSpec(Architecture((1, 1)), R=0.5, D=1.0, u=0.0, v=1.0)
+    # Non-finite values are refused: R = nan would give a nan bound, R = inf an
+    # infinite one, and v = nan a domain scale of 1.
+    for bad in ({"R": np.nan}, {"R": np.inf}, {"D": np.nan}, {"D": np.inf},
+                {"u": np.nan}, {"u": -np.inf}, {"v": np.nan}, {"v": np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            ClassSpec(Architecture((1, 1)), **{"R": 1.0, "D": 1.0, "u": 0.0, "v": 1.0, **bad})
 
 
 def test_lipschitz_empirical_conformance_small():
@@ -182,8 +190,12 @@ H_ORACLE = 1161054.9062001097
 
 
 def test_h_documented_example():
-    got = sample_complexity_h(10.0, math.log(100), 0.0, 10.0, 2.0, 1.0, 0.0, 1.0)
-    assert got == pytest.approx(H_ORACLE, rel=1e-12)
+    args = (10.0, math.log(100), 0.0, 10.0, 2.0, 1.0, 0.0, 1.0)
+    assert sample_complexity_h(*args) == pytest.approx(H_ORACLE, rel=1e-12)
+    # Every argument must be finite: a nan one would give a nan count.
+    for i, bad in itertools.product(range(len(args)), (np.nan, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            sample_complexity_h(*args[:i], bad, *args[i + 1:])
 
 
 def test_h_doubling_ratio():
@@ -276,20 +288,11 @@ def test_family_validation():
             ApproximationFamily(nu=0.5, gamma=bad)
 
 
-def put_arch_of_delta(d):
-    """Put payoff architecture (d,1,1,1).
-
-    The representation is exact, so the architecture does not depend on the
-    requested accuracy delta.
-    """
-    return Architecture((d, 1, 1, 1))
-
-
 def test_certificate_put_family_exponents():
     fam = put_family()
     eps, rho, C = 0.1, 0.05, 1.0
     for d in (1, 2, 5):
-        cert = kolmogorov_certificate(d, eps, rho, fam, put_arch_of_delta(d), C)
+        cert = kolmogorov_certificate(put_problem(d, u=0.0, v=1.0), eps, rho, fam, C)
         # tau = 1/2, lambda = kappa = 0, gamma = 1, beta = 0:
         # P cap: C d^(tau*2+1) eps^-2 = C d^2 eps^-2
         assert cert.param_cap == pytest.approx(C * d**2 * eps**-2)
@@ -309,7 +312,7 @@ def test_certificate_samples_are_h_at_its_own_caps(fam):
     grid = itertools.product((1, 5, 20), (0.5, 0.1, 0.01), (0.1, 0.01), (1.0, 3.0), (1.0, 2.0))
     for d, eps, rho, C, D in grid:
         try:
-            cert = kolmogorov_certificate(d, eps, rho, fam, put_arch_of_delta(d), C, D=D)
+            cert = kolmogorov_certificate(put_problem(d, D=D, u=0.0, v=1.0), eps, rho, fam, C)
         except OverflowError:  # the general family at d = 20, eps = 0.01, D = 2 counts past int64
             continue
         want = sample_complexity_h(
@@ -320,7 +323,7 @@ def test_certificate_samples_are_h_at_its_own_caps(fam):
 
 
 def test_certificate_rows_have_formulas():
-    cert = kolmogorov_certificate(2, 0.2, 0.1, put_family(), put_arch_of_delta(2), 1.0)
+    cert = kolmogorov_certificate(put_problem(2, u=0.0, v=1.0), 0.2, 0.1, put_family(), 1.0)
     rows = cert.rows()
     names = [r[0] for r in rows]
     assert "m" in names and "P(a)" in names and "R" in names
@@ -331,19 +334,21 @@ def test_certificate_rows_have_formulas():
 
 def test_certificate_requires_positive_C():
     with pytest.raises(ValueError):
-        kolmogorov_certificate(1, 0.1, 0.05, put_family(), put_arch_of_delta(1), 0.0)
+        kolmogorov_certificate(put_problem(1, u=0.0, v=1.0), 0.1, 0.05, put_family(), 0.0)
 
 
 @pytest.mark.parametrize("C, D", [(np.nan, 1.0), (np.inf, 1.0), (1.0, 0.5), (1.0, 0.0),
                                   (1.0, np.nan), (1.0, np.inf)])
 def test_certificate_rejects_bad_scale_or_clip(C, D):
+    # A bad clip is refused by the problem the certificate reads, a bad C by
+    # the certificate itself.
     with pytest.raises(ValueError):
-        kolmogorov_certificate(2, 0.1, 0.1, put_family(), put_arch_of_delta(2), C, D=D)
+        kolmogorov_certificate(put_problem(2, D=D, u=0.0, v=1.0), 0.1, 0.1, put_family(), C)
 
 
 def test_certificate_rejects_bad_eps():
     with pytest.raises(ValueError):
-        kolmogorov_certificate(1, 1.5, 0.05, put_family(), put_arch_of_delta(1), 1.0)
+        kolmogorov_certificate(put_problem(1, u=0.0, v=1.0), 1.5, 0.05, put_family(), 1.0)
 
 
 # ---------------------------------------------------------------------------

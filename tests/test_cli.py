@@ -2,6 +2,7 @@
 
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ import pytest
 from kolnet import cli, constructive, rng, sde
 from kolnet.bounds import kolmogorov_certificate, put_family
 from kolnet.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from kolnet.nets import Architecture, ClippedNetwork, Parametrization, evaluate, save_network
+from kolnet.nets import ClippedNetwork, Parametrization, evaluate, save_network
 from kolnet.sde import load_problem
 
 from helpers import PROBLEMS
 
 PUT_D1 = str(PROBLEMS / "put_d1_gbm.txt")
+BASKET_D5 = str(PROBLEMS / "basket_put_d5.txt")
 EULER_BASKET_D5 = PROBLEMS.parent / "bench" / "problems" / "euler_basket_d5.txt"
 
 
@@ -28,12 +30,12 @@ def run(argv):
 
 def test_certify_writes_table_and_csv(tmp_path, capsys):
     code = run([
-        "certify", "--d", "1", "--eps", "0.1", "--rho", "0.05",
+        "certify", PUT_D1, "--eps", "0.1", "--rho", "0.05",
         "--C", "1.0", "--out-dir", str(tmp_path),
     ])
     assert code == EXIT_OK
     out = capsys.readouterr().out
-    assert "certificate for d=1" in out
+    assert f"certificate for {PUT_D1} eps=0.1" in out
     csv = (tmp_path / "certificate.csv").read_text().splitlines()
     assert csv[0].startswith("# config_hash=")
     assert csv[1] == "quantity,value,formula"
@@ -43,7 +45,7 @@ def test_certify_writes_table_and_csv(tmp_path, capsys):
 
 def test_certify_rejects_bad_eps(tmp_path, capsys):
     code = run([
-        "certify", "--d", "1", "--eps", "1.5", "--rho", "0.05",
+        "certify", PUT_D1, "--eps", "1.5", "--rho", "0.05",
         "--out-dir", str(tmp_path),
     ])
     assert code == EXIT_USAGE
@@ -54,26 +56,50 @@ def test_certify_deterministic(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):
         assert run([
-            "certify", "--d", "2", "--eps", "0.2", "--rho", "0.1",
+            "certify", BASKET_D5, "--eps", "0.2", "--rho", "0.1",
             "--out-dir", str(d),
         ]) == EXIT_OK
     assert (a_dir / "certificate.csv").read_bytes() == (b_dir / "certificate.csv").read_bytes()
 
 
 def test_certify_reads_every_family_flag(tmp_path):
-    def rows(*flags):
-        out = tmp_path / ("_".join(flags) or "defaults")
-        argv = ["certify", "--d", "5", "--eps", "0.01", "--rho", "0.05", *flags, "--out-dir", str(out)]
+    def rows(problem, *flags):
+        out = tmp_path / "_".join((Path(problem).stem,) + flags)
+        argv = ["certify", problem, "--eps", "0.01", "--rho", "0.05", *flags, "--out-dir", str(out)]
         assert run(argv) == EXIT_OK
         return dict(line.split(",", 1) for line in (out / "certificate.csv").read_text().splitlines()[2:])
 
-    cert = kolmogorov_certificate(5, 0.01, 0.05, put_family(), Architecture((5, 1, 1, 1)), C=1.0)
-    defaults = rows()
-    assert defaults == {q: f'{v},"{formula}"' for q, v, formula in cert.rows()}
-    assert rows("--nu", "2")["P(a)"] != defaults["P(a)"]
-    for flag in ("--family", "--c"):  # the family has no scale constant: --C is the one
-        assert run(["certify", "--d", "5", "--eps", "0.01", "--rho", "0.05", flag, "1",
+    # The certificate covers the file's domain [0.5, 1.5]^d, where
+    # max{1, |u|, |v|} = 1.5: on [0, 1]^d, m would read 2,046,922,865,238 at
+    # d = 1 and 72,803,463,884,555 at d = 5.
+    for problem, m in ((PUT_D1, "2067682678774"), (BASKET_D5, "73322459222934")):
+        cert = kolmogorov_certificate(load_problem(problem), 0.01, 0.05, put_family(), C=1.0)
+        defaults = rows(problem)
+        assert defaults == {q: f'{v},"{formula}"' for q, v, formula in cert.rows()}
+        assert defaults["m"].split(",")[0] == m
+    assert rows(BASKET_D5, "--nu", "2")["P(a)"] != defaults["P(a)"]
+    # the family has no scale constant (--C is the one), and d, D come from the file
+    for flag in ("--family", "--c", "--d", "--D"):
+        assert run(["certify", BASKET_D5, "--eps", "0.01", "--rho", "0.05", flag, "1",
                     "--out-dir", str(tmp_path)]) == EXIT_USAGE
+
+
+def test_certify_reads_the_payoff_architecture(tmp_path):
+    # A (5, 8, 1) payoff: depth 2 and max_width 8, where the capped put's
+    # (5, 1, 1, 1) has depth 3 and max_width 5.
+    save_network(Parametrization(((np.full((8, 5), 0.1), np.zeros(8)), (np.ones((1, 8)), np.zeros(1)))),
+                 tmp_path / "payoff.txt")
+    problem = tmp_path / "p.txt"
+    problem.write_text(Path(BASKET_D5).read_text().replace(
+        "payoff: put 0.2 0.2 0.2 0.2 0.2 1.0", "payoff_file: payoff.txt"))
+    assert run(["certify", str(problem), "--eps", "0.01", "--rho", "0.05", "--C", "2",
+                "--out-dir", str(tmp_path)]) == EXIT_OK
+    rows = (tmp_path / "certificate.csv").read_text().splitlines()[2:]
+    values = dict(line.split(",")[:2] for line in rows)
+    assert values["depth"] == "2"
+    assert float(values["max_width"]) == pytest.approx(2.0 * 5**0.5 / 0.01 * 8)  # C d^tau eps^-1 8
+    cert = kolmogorov_certificate(load_problem(problem), 0.01, 0.05, put_family(), C=2.0)
+    assert values["m"] == str(cert.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +227,7 @@ def test_non_positive_counts_are_usage_errors(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())  # rejected before any output is written
 
 
-CERTIFY = ["certify", "--d", "2", "--eps", "0.1", "--rho", "0.1"]
+CERTIFY = ["certify", PUT_D1, "--eps", "0.1", "--rho", "0.1"]
 SCALING = ["scaling-study", "--dims", "1,2,3"]
 
 
@@ -230,19 +256,13 @@ SCALING = ["scaling-study", "--dims", "1,2,3"]
         (["scaling-study", "--dims", "1,2,3", "--target", "nan"], ["--target "]),
         (["scaling-study", "--dims", "1,2,3", "--threshold", "-1"], ["--threshold "]),
         (["scaling-study", "--dims", "1,2,3", "--threshold", "inf"], ["--threshold "]),
-        # --D 0.5 used to write a certificate; 0 and -1 ended as "math domain
-        # error", nan as "cannot convert float NaN to integer", inf as exit 3.
-        (CERTIFY + ["--D", "0.5"], ["--D "]),
-        (CERTIFY + ["--D", "0"], ["--D "]),
-        (CERTIFY + ["--D", "-1"], ["--D "]),
-        (CERTIFY + ["--D", "nan"], ["--D "]),
+        (["certify", "missing.txt", "--eps", "0.1", "--rho", "0.1"], ["missing.txt"]),
         (CERTIFY + ["--C", "nan"], ["--C "]),
         (CERTIFY + ["--C", "inf"], ["--C "]),
         (CERTIFY + ["--nu", "nan"], ["--nu "]),
         (CERTIFY + ["--gamma", "inf"], ["--gamma "]),
         # These used to be rejected without naming the flag, or, for a nan
         # --T, --mu or --sigma, to end as exit 3 "numerical failure".
-        (CERTIFY + ["--d", "0"], ["--d "]),
         (CERTIFY + ["--eps", "2"], ["--eps "]),
         (CERTIFY + ["--eps", "nan"], ["--eps "]),
         (CERTIFY + ["--rho", "0"], ["--rho "]),
@@ -256,6 +276,11 @@ SCALING = ["scaling-study", "--dims", "1,2,3"]
         (SCALING + ["--width", "0"], ["--width "]),
         (SCALING + ["--mu", "nan"], ["--mu "]),
         (SCALING + ["--sigma", "nan"], ["--sigma "]),
+        # --D is scaling-study's alone: certify reads D from its problem file.
+        (SCALING + ["--D", "0.5"], ["--D "]),
+        (SCALING + ["--D", "0"], ["--D "]),
+        (SCALING + ["--D", "-1"], ["--D "]),
+        (SCALING + ["--D", "nan"], ["--D "]),
         # Seeds key uint64 streams: these used to end as exit 3 "numerical failure".
         (["simulate", PUT_D1, "--seed", "-1"], ["--seed "]),
         (["simulate", PUT_D1, "--seed", str(2**64)], ["--seed "]),
@@ -264,12 +289,13 @@ SCALING = ["scaling-study", "--dims", "1,2,3"]
          "arch_wrong_dimension", "dims_not_integer", "dims_zero", "build_n_zero", "build_retries_zero",
          "evaluate_input_width", "evaluate_output_width", "lr_nan", "lr_negative", "lr_zero",
          "target_zero", "target_nan", "threshold_negative", "threshold_infinite",
-         "certify_D_half", "certify_D_zero", "certify_D_negative", "certify_D_nan", "certify_C_nan",
-         "certify_C_infinite", "certify_nu_nan", "certify_gamma_infinite", "certify_d_zero",
+         "certify_missing_problem", "certify_C_nan",
+         "certify_C_infinite", "certify_nu_nan", "certify_gamma_infinite",
          "certify_eps_two", "certify_eps_nan", "certify_rho_zero", "certify_nu_fifth",
          "certify_alpha_negative", "scaling_T_zero", "scaling_T_nan", "scaling_u_nan",
          "scaling_u_above_v", "scaling_m_base_zero", "scaling_width_zero", "scaling_mu_nan",
-         "scaling_sigma_nan", "seed_negative", "seed_above_uint64"],
+         "scaling_sigma_nan", "scaling_D_half", "scaling_D_zero", "scaling_D_negative",
+         "scaling_D_nan", "seed_negative", "seed_above_uint64"],
 )
 def test_bad_arguments_name_their_flag_or_file(tmp_path, capsys, argv, needles):
     nets = {"wide_in.txt": (4, 3, 1), "wide_out.txt": (1, 3, 2)}
