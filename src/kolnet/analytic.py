@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
+
+from ._special import ndtr
 
 __all__ = ["lognormal_capped_put", "capped_put_variance_uniform"]
 

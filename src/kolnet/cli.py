@@ -144,10 +144,13 @@ def cmd_certify(args) -> int:
                                  for f in dataclasses.fields(ApproximationFamily)})
     cert = kolmogorov_certificate(problem, args.eps, args.rho, fam, args.C)
     rows = [(q, v, f'"{formula}"') for q, v, formula in cert.rows()]
+    # A problem file cannot say how its payoff's networks grow with d: name the exponents assumed.
+    exponents = " ".join(f"{f.name}={getattr(fam, f.name)}" for f in dataclasses.fields(fam))
     out = Path(args.out_dir) / "certificate.csv"
-    _write_csv(out, "quantity,value,formula", rows, f"config_hash={_config_hash(args)}")
+    _write_csv(out, "quantity,value,formula", rows, f"config_hash={_config_hash(args)} {exponents}")
     width = max(len(q) for q, _, _ in cert.rows())
     print(f"certificate for {args.problem} eps={args.eps} rho={args.rho} C={args.C}")
+    print(f"  exponents {exponents}")
     for q, v, formula in cert.rows():
         print(f"  {q:<{width}}  {v:<24}  {formula}")
     print(f"wrote {out}")

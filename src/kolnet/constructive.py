@@ -105,9 +105,6 @@ def build_mc_network(problem: KolmogorovProblem, n, retries=1, grid_size=64, ref
     d = problem.dim
     grid_key = rng.stream_key(rng.child_seeds(seed, 0xD1CE))
     grid = rng.hypercube(grid_key, grid_size, d, problem.u, problem.v)
-    ref_seed = rng.child_seed(seed, 0xEF)
-    ref_vals, _ = mc_reference_grid(problem, grid, ref_paths, ref_seed)
-
     errors, chosen = [], None  # chosen: (retry, network, bounds) of the least error so far
     for retry in range(retries):
         map_seeds = rng.child_seeds(rng.child_seed(seed, retry + 1), np.arange(n))
@@ -115,6 +112,11 @@ def build_mc_network(problem: KolmogorovProblem, n, retries=1, grid_size=64, ref
         candidate = compose_average(problem.payoff, M, N)
         bounds = verify_construction_bounds(candidate, problem.payoff, M, N)
         del M, N  # the maps are not needed to score, so one retry's are held at a time
+        if retry == 0:
+            # Drawn only now: freeing the maps raises glibc's adaptive mmap threshold
+            # past the grid's per-point arrays, so they are reused from the heap
+            # instead of faulted in afresh at each point.  No value moves.
+            ref_vals, _ = mc_reference_grid(problem, grid, ref_paths, rng.child_seed(seed, 0xEF))
         errors.append(l2_error(ClippedNetwork(candidate, problem.clip_amplitude), grid, ref_vals))
         if chosen is None or errors[-1] < errors[chosen[0]]:  # a tie keeps the first
             chosen = retry, candidate, bounds

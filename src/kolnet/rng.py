@@ -12,6 +12,8 @@ whenever s = c golden (mod 2**64): its word there is 0, the uniform is
 2**-54 and the Gaussian -8.29.  Package streams key on hashed child seeds
 and hit this only by chance; a caller keying on small seeds directly
 (stream_key(0) at counter 0) hits it at once.
+
+Gaussians are scipy's ndtri of the uniforms, loaded by kolnet._special.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
+
+from ._special import ndtri
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -120,7 +123,7 @@ def uniforms(keys, counters):
 
 def gaussians(keys, counters):
     """Standard normal variates via inverse CDF of the counter stream, in place
-    on the uniforms."""
+    on the uniforms; the inverse CDF is scipy's ndtri (see kolnet._special)."""
     z = uniforms(keys, counters)
     return ndtri(z, out=z) if isinstance(z, np.ndarray) else ndtri(z)
 

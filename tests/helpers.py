@@ -1,5 +1,8 @@
 """Problem builders and map stacks shared by the test modules."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,15 @@ from kolnet.nets import put_payoff_network
 from kolnet.sde import AffineCoefficients, KolmogorovProblem, gbm_coefficients
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def fresh_process(probe):
+    """Run ``probe`` in a new interpreter on the checkout's src/; its stdout, split."""
+    env = {**os.environ, "PYTHONPATH": str(PROBLEMS.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 def zero_coeffs(d):

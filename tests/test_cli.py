@@ -84,7 +84,7 @@ def test_certify_reads_every_family_flag(tmp_path):
                     "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
 
-def test_certify_reads_the_payoff_architecture(tmp_path):
+def test_certify_reads_the_payoff_architecture(tmp_path, capsys):
     # A (5, 8, 1) payoff: depth 2 and max_width 8, where the capped put's
     # (5, 1, 1, 1) has depth 3 and max_width 5.
     save_network(Parametrization(((np.full((8, 5), 0.1), np.zeros(8)), (np.ones((1, 8)), np.zeros(1)))),
@@ -100,6 +100,16 @@ def test_certify_reads_the_payoff_architecture(tmp_path):
     assert float(values["max_width"]) == pytest.approx(2.0 * 5**0.5 / 0.01 * 8)  # C d^tau eps^-1 8
     cert = kolmogorov_certificate(load_problem(problem), 0.01, 0.05, put_family(), C=2.0)
     assert values["m"] == str(cert.samples)
+    # Nothing in a payoff_file says how its networks grow with d, so the
+    # certificate names the put's exponents it fell back on, in the file and
+    # on stdout.
+    assumed = "nu=0.5 alpha=0.0 beta=0.0 gamma=1.0 kappa=0.0 lmbda=0.0"
+    comment = (tmp_path / "certificate.csv").read_text().splitlines()[0]
+    assert comment.startswith("# config_hash=") and comment.endswith(" " + assumed)
+    assert f"exponents {assumed}" in capsys.readouterr().out
+    assert run(["certify", str(problem), "--eps", "0.01", "--rho", "0.05", "--gamma", "2",
+                "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert "gamma=2.0 " in (tmp_path / "certificate.csv").read_text().splitlines()[0]
 
 
 # ---------------------------------------------------------------------------

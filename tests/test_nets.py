@@ -1,8 +1,5 @@
 """Tests for the network data model and the explicit constructions."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -25,7 +22,7 @@ from kolnet.nets import (
 )
 from kolnet.sde import extract_affine_batch, load_problem
 
-from helpers import PROBLEMS, random_maps
+from helpers import PROBLEMS, fresh_process, random_maps
 
 
 def naive_forward(layers, x):
@@ -64,10 +61,7 @@ def test_nets_and_bounds_load_without_sampling_or_scipy():
     # importing any module ran kolnet.sde and kolnet.rng and loaded scipy.
     probe = ("import sys, kolnet.nets, kolnet.bounds; print(' '.join(m for m in sys.modules"
              " if m.startswith('scipy') or m in ('kolnet.sde', 'kolnet.rng')))")
-    env = {**os.environ, "PYTHONPATH": str(PROBLEMS.parent / "src")}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         check=True, timeout=60).stdout
-    assert out.split() == []
+    assert fresh_process(probe) == []
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from scipy.special import ndtri
 
 from kolnet import rng
 
+from helpers import fresh_process
+
 
 def test_mix64_scalar_and_array_agree():
     xs = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
@@ -254,3 +256,59 @@ def test_top_word_stays_below_one():
         assert np.all(np.isfinite(rng.gaussians(key_for(word), np.arange(3))))
     # The next word down keeps its bits: only the top one is clamped.
     assert rng.uniforms(key_for(2**64 - 2**12), np.uint64(0)) == (2.0**53 - 2 + 0.5) * 2.0**-53
+
+
+# ---------------------------------------------------------------------------
+# Where ndtri and ndtr come from
+
+
+def test_cli_import_skips_the_scipy_special_package():
+    # scipy.special's __init__ clones numpy for its array-API shim; the CLI
+    # needs two ufuncs and loads only their extension.
+    probe = ("import sys, kolnet.cli; print(' '.join(m for m in sys.modules if m in"
+             " ('scipy.special', 'scipy._lib._array_api', 'numpy.f2py', 'numpy.testing')))")
+    assert fresh_process(probe) == []
+
+
+def test_a_later_scipy_import_hands_out_the_same_ufuncs():
+    probe = """
+import numpy as np, kolnet.cli, kolnet.analytic
+import scipy.special, scipy.stats
+assert kolnet.rng.ndtri is scipy.special.ndtri and kolnet.analytic.ndtr is scipy.special.ndtr
+u = kolnet.rng.uniforms(kolnet.rng.stream_key(3), np.arange(10_000))
+assert np.array_equal(kolnet.rng.gaussians(kolnet.rng.stream_key(3), np.arange(10_000)),
+                      scipy.stats.norm.ppf(u))
+print(scipy.special.__file__ is not None)
+"""
+    assert fresh_process(probe) == ["True"]
+
+
+def test_an_imported_scipy_special_is_used_as_it_is():
+    probe = """
+import sys, scipy.special
+package = sys.modules["scipy.special"]
+import kolnet._special as s
+assert s.ndtri is scipy.special.ndtri and s.ndtr is scipy.special.ndtr
+print(sys.modules["scipy.special"] is package)
+"""
+    assert fresh_process(probe) == ["True"]
+
+
+def test_a_failed_bare_load_falls_back_to_the_package():
+    # A finder that refuses _ufuncs under the stand-in parent, which has no
+    # __file__, as a scipy whose extension needs its package would.
+    probe = """
+import sys
+
+class NeedsPackage:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not hasattr(sys.modules["scipy.special"], "__file__"):
+            raise ImportError("needs its package")
+
+sys.meta_path.insert(0, NeedsPackage())
+import kolnet._special as s
+package = sys.modules["scipy.special"]
+assert s.ndtri is package.ndtri and s.ndtr is package.ndtr
+print(package.__file__ is not None, "numpy.f2py" in sys.modules)
+"""
+    assert fresh_process(probe) == ["True", "True"]
