@@ -43,7 +43,6 @@ from .analytic import lognormal_capped_put
 from .sde import (
     KolmogorovProblem,
     SimulationError,
-    gbm_coefficients,
     load_problem,
     mc_reference_grid,
 )
@@ -69,12 +68,12 @@ def _config_hash(args: argparse.Namespace) -> str:
     # The output directory is where results land, not what the experiment is;
     # leaving it out makes reruns into different directories byte-identical.
     # A network file counts by its bytes, so copies of it hash alike.  A
-    # problem file (certify's too) counts by its path: the artifact digests in
-    # bench/digests.json pin the hashes written from it.  --arch and --dims
-    # count by their parsed integers, so "1, 2,3" and "01,2,3" hash as 1,2,3.
+    # problem file counts by its path: the artifact digests in
+    # bench/digests.json pin the hashes written from it.  --arch counts by
+    # its parsed integers, so "5, 64,64,1" and "05,64,64,1" hash as 5,64,64,1.
     config = {k: str(v) for k, v in vars(args).items() if k not in ("func", "out_dir")}
-    for k in {"arch", "dims"} & config.keys():
-        config[k] = ",".join(map(str, _positive_ints(f"--{k}", config[k])))
+    if "arch" in config:
+        config["arch"] = ",".join(map(str, _positive_ints("--arch", config["arch"])))
     if "network" in config:
         config["network"] = _file_sha256(args.network)
     blob = repr(sorted(config.items()))
@@ -276,22 +275,17 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_scaling_study(args) -> int:
-    dims = _positive_ints("--dims", args.dims)
+    problems = [load_problem(path) for path in args.problems]  # every file checked before training
+    dims = [problem.dim for problem in problems]
     if len(set(dims)) < max(len(dims), 3):  # a repeated d would train twice into one d<k>/
-        raise UsageError(f"--dims needs 3 distinct dimensions or more, none repeated: {args.dims!r}")
+        got = ", ".join(f"{path} (d={d})" for path, d in zip(args.problems, dims))
+        raise UsageError(f"scaling-study needs problems of 3 distinct dimensions or more, "
+                         f"none repeated: {got}")
     out_dir = Path(args.out_dir)
     rows = []
     results = []
     all_hit = True
-    for d in dims:
-        problem = KolmogorovProblem(
-            coeffs=gbm_coefficients(d, args.mu, args.sigma),
-            horizon=args.T,
-            payoff=put_payoff_network(np.full(d, 1.0 / d), args.D),
-            clip_amplitude=args.D,
-            u=args.u,
-            v=args.v,
-        )
+    for problem, d in zip(problems, dims):
         m = int(args.m_base * d**2)
         summary = _run_pipeline(problem, args, (d, args.width, args.width, 1), m,
                                 rng.child_seed(args.seed, d), None, out_dir / f"d{d}",
@@ -375,16 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("scaling-study", help="error-vs-dimension audit")
-    p.add_argument("--dims", required=True, help="comma-separated dimensions, e.g. 1,2,4,8")
+    p.add_argument("problems", nargs="+", metavar="problem",
+                   help="problem files of 3 or more distinct dimensions")
     p.add_argument("--m-base", type=int, default=20000, help="m = m_base * d^2")
     p.add_argument("--target", type=float, default=5e-3)
     p.add_argument("--threshold", type=float, default=3.0)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--D", type=float, default=1.0)
-    p.add_argument("--u", type=float, default=0.5)
-    p.add_argument("--v", type=float, default=1.5)
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--batch", type=int, default=512)
     p.add_argument("--lr", type=float, default=2e-3)
@@ -422,20 +411,13 @@ def _check_args(args) -> None:
         raise UsageError("--R needs --project")
     if project and R is None:
         raise UsageError("--project needs --R")
-    for name in ("R", "lr", "target", "threshold", "C", "T"):
+    for name in ("R", "lr", "target", "threshold", "C"):
         value = getattr(args, name, None)
         if value is not None and not 0 < value < np.inf:
             raise UsageError(f"--{name} must be a positive finite number")
     for name in ("eps", "rho"):
         if not 0 < getattr(args, name, 0.5) < 1:
             raise UsageError(f"--{name} must be in (0, 1)")
-    if not 1 <= getattr(args, "D", 1.0) < np.inf:
-        raise UsageError("--D must be a finite number of at least 1")
-    for name in ("mu", "sigma", "u", "v"):
-        if not np.isfinite(getattr(args, name, 0.0)):
-            raise UsageError(f"--{name} must be a finite number")
-    if not getattr(args, "u", 0.0) < getattr(args, "v", 1.0):
-        raise UsageError("--u must be below --v")
     for f in dataclasses.fields(ApproximationFamily):  # certify's exponents
         low = 0.5 if f.name == "nu" else 0.0
         if not low <= getattr(args, f.name, low) < np.inf:

@@ -92,8 +92,17 @@ class TrainConfig:
     constant_only: bool = False  # train biases only (constant-function class probe)
 
     def __post_init__(self):
-        if self.architecture.output_width != 1:
-            raise ValueError("training requires output width 1")
+        R = self.parameter_bound
+        for holds, message in (
+            (self.architecture.output_width == 1, "training requires output width 1"),
+            (self.batch_size >= 1, "batch_size must be at least 1"),
+            (self.iterations >= 0, "iterations must be at least 0"),
+            (self.eval_every >= 1, "eval_every must be at least 1"),
+            (0 < self.step_size < np.inf, "step_size must be positive and finite"),
+            (R is None or 0 < R < np.inf, "parameter_bound must be None or positive and finite"),
+        ):
+            if not holds:
+                raise ValueError(message)
 
 
 @dataclass
@@ -248,6 +257,8 @@ def l2_error(f: ClippedNetwork, points: np.ndarray, values: np.ndarray) -> float
 
 def noise_floor(std_errors: np.ndarray) -> float:
     """Mean squared standard error of a reference: mean(std_errors^2)."""
+    if np.size(std_errors) == 0:
+        raise ValueError("standard errors must be nonempty")
     return float(np.mean(np.square(std_errors)))
 
 

@@ -63,9 +63,9 @@ _MAX_FILE_STEPS = 1 << 20
 class SimulationError(RuntimeError):
     """Non-finite state encountered during path simulation."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int, message: str):
         self.step = step
-        super().__init__(message or f"non-finite state at step {step}")
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,7 @@ class KolmogorovProblem:
             ("D", 1 <= self.clip_amplitude < np.inf, "clip amplitude D must be finite and >= 1"),
             ("payoff", self.payoff.architecture.input_width == self.dim,
              "payoff input width must equal problem dimension"),
+            ("payoff", self.payoff.architecture.output_width == 1, "payoff output width must be 1"),
         ):
             if not holds:
                 raise _RuleError(key, message)
@@ -499,7 +500,7 @@ def problem_from_text(text: str, base_dir=".", source="<problem>") -> Kolmogorov
             steps=steps,
         )
     except _RuleError as exc:  # named at the line of the key that sets the value
-        key = "payoff_file" if exc.key == "payoff" and "payoff" not in entries else exc.key
+        key = exc.key if exc.key in entries else "payoff_file"  # a payoff read from its file
         raise ValueError(f"{source}:{entries[key][0]}: {exc}") from None
 
 

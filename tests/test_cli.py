@@ -16,6 +16,7 @@ from kolnet.sde import load_problem
 from helpers import PROBLEMS
 
 PUT_D1 = str(PROBLEMS / "put_d1_gbm.txt")
+BASKET_D2 = str(PROBLEMS / "basket_put_d2.txt")
 BASKET_D5 = str(PROBLEMS / "basket_put_d5.txt")
 EULER_BASKET_D5 = PROBLEMS.parent / "bench" / "problems" / "euler_basket_d5.txt"
 
@@ -225,7 +226,7 @@ def test_missing_payoff_file_names_the_problem_line(tmp_path, capsys):
         ["train", PUT_D1, "--m", "0", "--arch", "1,4,1"],
         ["train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--iters", "-1"],
         ["train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--batch", "0"],
-        ["scaling-study", "--dims", "1,2,3", "--eval-every", "0"],
+        ["scaling-study", PUT_D1, BASKET_D2, BASKET_D5, "--eval-every", "0"],
     ],
     ids=["grid", "paths", "m", "iters", "batch", "eval_every"],
 )
@@ -238,7 +239,7 @@ def test_non_positive_counts_are_usage_errors(tmp_path, capsys, argv):
 
 
 CERTIFY = ["certify", PUT_D1, "--eps", "0.1", "--rho", "0.1"]
-SCALING = ["scaling-study", "--dims", "1,2,3"]
+SCALING = ["scaling-study", PUT_D1, BASKET_D2, BASKET_D5]
 
 
 @pytest.mark.parametrize(
@@ -251,9 +252,6 @@ SCALING = ["scaling-study", "--dims", "1,2,3"]
         (["train", PUT_D1, "--m", "100", "--arch", "1,a"], ["--arch", "'1,a'"]),
         (["train", PUT_D1, "--m", "100", "--arch", "1,0,1"], ["--arch", "'1,0,1'"]),
         (["train", PUT_D1, "--m", "100", "--arch", "2,4,1"], ["--arch 2,4,1", "dimension 1"]),
-        (["scaling-study", "--dims", "1,a,3"], ["--dims", "'1,a,3'"]),
-        # d = 0 used to end as "numerical failure: float division by zero", exit 3.
-        (["scaling-study", "--dims", "0,1,2"], ["--dims", "'0,1,2'"]),
         (["build", PUT_D1, "--n", "0"], ["--n "]),
         (["build", PUT_D1, "--n", "4", "--retries", "0"], ["--retries"]),
         (["evaluate", PUT_D1, "wide_in.txt"], ["wide_in.txt", PUT_D1]),
@@ -262,50 +260,39 @@ SCALING = ["scaling-study", "--dims", "1,2,3"]
         (["train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--lr", "nan"], ["--lr "]),
         (["train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--lr", "-1"], ["--lr "]),
         (["train", PUT_D1, "--m", "100", "--arch", "1,4,1", "--lr", "0"], ["--lr "]),
-        (["scaling-study", "--dims", "1,2,3", "--target", "0"], ["--target "]),
-        (["scaling-study", "--dims", "1,2,3", "--target", "nan"], ["--target "]),
-        (["scaling-study", "--dims", "1,2,3", "--threshold", "-1"], ["--threshold "]),
-        (["scaling-study", "--dims", "1,2,3", "--threshold", "inf"], ["--threshold "]),
+        (SCALING + ["--target", "0"], ["--target "]),
+        (SCALING + ["--target", "nan"], ["--target "]),
+        (SCALING + ["--threshold", "-1"], ["--threshold "]),
+        (SCALING + ["--threshold", "inf"], ["--threshold "]),
         (["certify", "missing.txt", "--eps", "0.1", "--rho", "0.1"], ["missing.txt"]),
+        # A payoff of two outputs used to be certified, exit 0.
+        (["certify", "wide_out_problem.txt", "--eps", "0.1", "--rho", "0.1"],
+         ["wide_out_problem.txt:10: ", "payoff output width must be 1"]),
         (CERTIFY + ["--C", "nan"], ["--C "]),
         (CERTIFY + ["--C", "inf"], ["--C "]),
         (CERTIFY + ["--nu", "nan"], ["--nu "]),
         (CERTIFY + ["--gamma", "inf"], ["--gamma "]),
-        # These used to be rejected without naming the flag, or, for a nan
-        # --T, --mu or --sigma, to end as exit 3 "numerical failure".
+        # These used to be rejected without naming the flag.
         (CERTIFY + ["--eps", "2"], ["--eps "]),
         (CERTIFY + ["--eps", "nan"], ["--eps "]),
         (CERTIFY + ["--rho", "0"], ["--rho "]),
         (CERTIFY + ["--nu", "0.2"], ["--nu "]),
         (CERTIFY + ["--alpha", "-1"], ["--alpha "]),
-        (SCALING + ["--T", "0"], ["--T "]),
-        (SCALING + ["--T", "nan"], ["--T "]),
-        (SCALING + ["--u", "nan"], ["--u "]),
-        (SCALING + ["--u", "2", "--v", "1"], ["--u ", "--v"]),
         (SCALING + ["--m-base", "0"], ["--m-base "]),
         (SCALING + ["--width", "0"], ["--width "]),
-        (SCALING + ["--mu", "nan"], ["--mu "]),
-        (SCALING + ["--sigma", "nan"], ["--sigma "]),
-        # --D is scaling-study's alone: certify reads D from its problem file.
-        (SCALING + ["--D", "0.5"], ["--D "]),
-        (SCALING + ["--D", "0"], ["--D "]),
-        (SCALING + ["--D", "-1"], ["--D "]),
-        (SCALING + ["--D", "nan"], ["--D "]),
         # Seeds key uint64 streams: these used to end as exit 3 "numerical failure".
         (["simulate", PUT_D1, "--seed", "-1"], ["--seed "]),
         (["simulate", PUT_D1, "--seed", str(2**64)], ["--seed "]),
     ],
     ids=["paths_one", "train_paths_one_closed_form", "arch_not_integer", "arch_zero_width",
-         "arch_wrong_dimension", "dims_not_integer", "dims_zero", "build_n_zero", "build_retries_zero",
+         "arch_wrong_dimension", "build_n_zero", "build_retries_zero",
          "evaluate_input_width", "evaluate_output_width", "lr_nan", "lr_negative", "lr_zero",
          "target_zero", "target_nan", "threshold_negative", "threshold_infinite",
-         "certify_missing_problem", "certify_C_nan",
+         "certify_missing_problem", "certify_payoff_two_outputs", "certify_C_nan",
          "certify_C_infinite", "certify_nu_nan", "certify_gamma_infinite",
          "certify_eps_two", "certify_eps_nan", "certify_rho_zero", "certify_nu_fifth",
-         "certify_alpha_negative", "scaling_T_zero", "scaling_T_nan", "scaling_u_nan",
-         "scaling_u_above_v", "scaling_m_base_zero", "scaling_width_zero", "scaling_mu_nan",
-         "scaling_sigma_nan", "scaling_D_half", "scaling_D_zero", "scaling_D_negative",
-         "scaling_D_nan", "seed_negative", "seed_above_uint64"],
+         "certify_alpha_negative", "scaling_m_base_zero", "scaling_width_zero",
+         "seed_negative", "seed_above_uint64"],
 )
 def test_bad_arguments_name_their_flag_or_file(tmp_path, capsys, argv, needles):
     nets = {"wide_in.txt": (4, 3, 1), "wide_out.txt": (1, 3, 2)}
@@ -313,8 +300,13 @@ def test_bad_arguments_name_their_flag_or_file(tmp_path, capsys, argv, needles):
         save_network(Parametrization(tuple(
             (np.ones((b, a)), np.zeros(b)) for a, b in zip(widths, widths[1:])
         )), tmp_path / name)
-    argv = [str(tmp_path / a) if a in nets else a for a in argv]
-    needles = [str(tmp_path / n) if n in nets else n for n in needles]
+    # put_d1_gbm.txt with the (1, 3, 2) network as its payoff, set on line 10.
+    (tmp_path / "wide_out_problem.txt").write_text(
+        Path(PUT_D1).read_text().replace("payoff: put 1.0 1.0", "payoff_file: wide_out.txt")
+    )
+    files = [*nets, "wide_out_problem.txt"]
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    needles = [str(tmp_path / n) if n in files else n for n in needles]
     out = tmp_path / "out"
     seed = [] if argv[0] == "certify" or "--seed" in argv else ["--seed", "1"]  # certify draws nothing
     code = run(argv + seed + ["--out-dir", str(out)])
@@ -586,8 +578,7 @@ def test_evaluate_hashes_network_bytes_not_path(tmp_path, capsys):
     (["train", "problems/basket_put_d5.txt", "--m", "100000", "--arch", "{}", "--batch", "512",
       "--lr", "3e-3", "--iters", "3000", "--eval-every", "500", "--grid", "64", "--paths", "20000",
       "--seed", "0"], ("5,64,64,1", "5, 64,64,1", "05,64,64,1"), "9d911b5dbaa4"),
-    (["scaling-study", "--dims", "{}", "--seed", "4"], ("1,2,3", "1, 2, 3", "01,2,3"), "d119182f89e4"),
-], ids=["arch", "dims"])
+], ids=["arch"])
 def test_config_hash_reads_arch_and_dims_as_integers(argv, spellings, want):
     for spelling in spellings:
         args = cli.build_parser().parse_args([w.format(spelling) for w in argv])
@@ -626,7 +617,7 @@ def test_parameter_bound_flags_are_checked(tmp_path, capsys, flags, flag):
 
 def test_scaling_study_needs_three_dims(tmp_path, capsys):
     code = run([
-        "scaling-study", "--dims", "1,2", "--seed", "1",
+        "scaling-study", PUT_D1, BASKET_D2, "--seed", "1",
         "--out-dir", str(tmp_path),
     ])
     assert code == EXIT_USAGE
@@ -638,32 +629,43 @@ def test_scaling_study_rejects_repeated_dims(tmp_path, capsys):
     # in the slope fit.
     out_dir = tmp_path / "out"
     code = run([
-        "scaling-study", "--dims", "1,2,2,3", "--m-base", "10", "--iters", "2",
+        "scaling-study", PUT_D1, BASKET_D2, BASKET_D5, str(EULER_BASKET_D5), "--m-base", "10",
+        "--iters", "2", "--grid", "2", "--paths", "10", "--seed", "1", "--out-dir", str(out_dir),
+    ])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "none repeated" in err
+    assert f"{BASKET_D5} (d=5)" in err and f"{EULER_BASKET_D5} (d=5)" in err
+    assert not out_dir.exists()
+
+
+def test_scaling_study_reads_every_file_before_training(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(Path(BASKET_D5).read_text().replace("T: 1.0", "T: nan"))
+    out_dir = tmp_path / "out"
+    code = run([
+        "scaling-study", PUT_D1, BASKET_D2, str(bad), "--m-base", "10", "--iters", "2",
         "--grid", "2", "--paths", "10", "--seed", "1", "--out-dir", str(out_dir),
     ])
     assert code == EXIT_USAGE
-    assert "--dims" in capsys.readouterr().err
+    assert f"{bad}:6: 'T' holds a value that is not finite" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
 def test_scaling_study_runs_the_train_pipeline(tmp_path):
-    # The study's d = 2 run writes what `train` writes for the same problem,
-    # budget m_base * d^2, architecture and the study's child seed for d.
+    # The study's d = 2 run writes what `train` writes for the same problem
+    # file, budget m_base * d^2, architecture and the study's child seed for d.
     flags = ["--iters", "60", "--eval-every", "20", "--batch", "512", "--lr", "0.002",
              "--grid", "8", "--paths", "500"]
     study = tmp_path / "study"
     code = run([
-        "scaling-study", "--dims", "1,2,3", "--m-base", "200", "--width", "8", *flags,
+        "scaling-study", PUT_D1, BASKET_D2, BASKET_D5, "--m-base", "200", "--width", "8", *flags,
         "--seed", "4", "--out-dir", str(study),
     ])
     assert code in (EXIT_OK, EXIT_NUMERIC)
-    problem = tmp_path / "d2.txt"
-    problem.write_text(
-        "dim: 2\nu: 0.5\nv: 1.5\nT: 1.0\nD: 1.0\ngbm: 0.0 0.2\npayoff: put 0.5 0.5 1.0\n"
-    )
     train = tmp_path / "train"
     code = run([
-        "train", str(problem), "--m", "800", "--arch", "2,8,8,1", *flags,
+        "train", BASKET_D2, "--m", "800", "--arch", "2,8,8,1", *flags,
         "--seed", str(rng.child_seed(4, 2)), "--out-dir", str(train),
     ])
     assert code == EXIT_OK
@@ -677,8 +679,11 @@ def test_scaling_study_runs_the_train_pipeline(tmp_path):
 def test_scaling_study_tiny(tmp_path, capsys):
     # Deliberately small budgets: exercises the loop, CSV shape, and audit
     # wiring; the acceptance suite runs the full-scale version.
+    basket_d3 = tmp_path / "basket_put_d3.txt"  # basket_put_d2.txt's family at d = 3
+    basket_d3.write_text(Path(BASKET_D2).read_text().replace("dim: 2", "dim: 3").replace(
+        "put 0.5 0.5", "put " + " ".join([repr(1 / 3)] * 3)))
     code = run([
-        "scaling-study", "--dims", "1,2,3", "--m-base", "2000",
+        "scaling-study", PUT_D1, BASKET_D2, str(basket_d3), "--m-base", "2000",
         "--iters", "4000", "--lr", "0.003", "--width", "16",
         "--grid", "32", "--paths", "2000", "--target", "0.05",
         "--seed", "9", "--out-dir", str(tmp_path),

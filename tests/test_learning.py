@@ -257,6 +257,20 @@ def test_train_realizable_payoff_architecture():
     assert report.final_risk <= 1e-3
 
 
+@pytest.mark.parametrize("field, value", [
+    # A zero eval_every used to raise ZeroDivisionError mid-training, a zero
+    # batch to warn "Mean of empty slice", negative iterations to run no
+    # steps, and a negative step size to train uphill.
+    ("eval_every", 0), ("batch_size", 0), ("iterations", -1),
+    ("step_size", -1.0), ("step_size", 0.0), ("step_size", np.nan), ("step_size", np.inf),
+    ("parameter_bound", 0.0), ("parameter_bound", -1.0), ("parameter_bound", np.nan),
+    ("parameter_bound", np.inf),
+])
+def test_train_config_checks_its_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        TrainConfig(architecture=Architecture((1, 2, 1)), clip_amplitude=1.0, **{field: value})
+
+
 def test_train_empty_dataset_rejected():
     cfg = TrainConfig(architecture=Architecture((1, 2, 1)), clip_amplitude=1.0)
     with pytest.raises(ValueError):
@@ -486,6 +500,12 @@ def test_l2_error_matches_recomputation():
 
 def test_noise_floor():
     assert noise_floor(np.array([0.1, 0.3])) == pytest.approx((0.01 + 0.09) / 2)
+
+
+def test_noise_floor_rejects_empty():
+    # It used to return nan with a "Mean of empty slice" RuntimeWarning.
+    with pytest.raises(ValueError, match="nonempty"):
+        noise_floor(np.empty(0))
 
 
 def test_l2_error_rejects_empty():

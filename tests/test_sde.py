@@ -12,7 +12,7 @@ import pytest
 
 from kolnet import rng, sde
 from kolnet.analytic import lognormal_capped_put
-from kolnet.nets import evaluate, put_payoff_network, save_network
+from kolnet.nets import Parametrization, evaluate, put_payoff_network, save_network
 from kolnet.sde import (
     AffineCoefficients,
     KolmogorovProblem,
@@ -954,10 +954,16 @@ def test_problem_requires_positive_steps():
         # A repeated key used to be accepted, the last one winning.
         (("v: 1.5\n", "v: 1.5\nu: 0.7\n"), "t.txt:6: 'u' repeats the key of line 4"),
         (("payoff: put", "dim: 2\npayoff: put"), "t.txt:10: 'dim' repeats the key of line 3"),
+        # A payoff of two outputs used to load, then fail in the pipelines
+        # without naming the file.
+        (("payoff: put 1.0 1.0", "payoff_file: two_out.txt"),
+         "t.txt:10: payoff output width must be 1"),
     ],
 )
 def test_problem_text_errors_name_file_and_line(tmp_path, edit, message):
     save_network(put_payoff_network([0.5, 0.5], 1.0), tmp_path / "wide.txt")
+    save_network(Parametrization(((np.ones((3, 1)), np.zeros(3)), (np.ones((2, 3)), np.zeros(2)))),
+                 tmp_path / "two_out.txt")
     text = PROBLEM_TEXT.replace(*edit)
     assert text != PROBLEM_TEXT
     with pytest.raises(ValueError) as exc:
