@@ -28,18 +28,18 @@ from .constructive import build_mc_network
 from .learning import (
     TrainConfig,
     generate_dataset,
+    grid_points,
     l2_error,
     noise_floor,
+    reference,
     train_erm,
 )
 from .nets import (
     Architecture,
     ClippedNetwork,
     load_network,
-    put_payoff_network,
     save_network,
 )
-from .analytic import lognormal_capped_put
 from .sde import (
     KolmogorovProblem,
     SimulationError,
@@ -92,49 +92,12 @@ def _write_csv(path: Path, header: str, rows, comment: str | None = None) -> Non
             fh.write(",".join(str(x) for x in row) + "\n")
 
 
-def _grid_points(problem: KolmogorovProblem, size: int, seed: int) -> np.ndarray:
-    """Deterministic evaluation grid: equispaced for d=1, low-star uniform else."""
-    d = problem.dim
-    if d == 1:
-        return np.linspace(problem.u, problem.v, size)[:, None]
-    key = rng.stream_key(rng.child_seeds(seed, 0x671D))
-    return rng.hypercube(key, size, d, problem.u, problem.v)
-
-
-def _closed_form_reference(problem: KolmogorovProblem, points: np.ndarray):
-    """Exact values at the (k, 1) points for the d=1 GBM capped put; None when not applicable.
-
-    The payoff counts as the capped put only when every layer equals that of
-    ``put_payoff_network(c, cap)`` for the c and cap its first layer holds.
-    """
-    if problem.dim != 1 or not problem.gbm_flag:
-        return None
-    arch = problem.payoff.architecture
-    if arch.widths != (1, 1, 1, 1):
-        return None
-    W1, B1 = problem.payoff.layers[0]
-    c = -float(W1[0, 0])
-    cap = float(B1[0])
-    if c <= 0 or cap != problem.clip_amplitude:
-        return None
-    put = put_payoff_network([c], cap)
-    if not all(np.array_equal(W, V) and np.array_equal(B, A)
-               for (W, B), (V, A) in zip(problem.payoff.layers, put.layers)):
-        return None
-    mu = float(problem.coeffs.A[0, 0])
-    sig = float(problem.coeffs.C[1, 0, 0])
-    return lognormal_capped_put(points[:, 0], c, cap, mu, sig, problem.horizon)
-
-
 def _score(problem: KolmogorovProblem, net: ClippedNetwork, grid: int, paths: int, seed: int):
-    """(l2_error, noise_floor, reference kind) of ``net`` on a ``grid``-point grid: against
-    the closed form where it applies, else ``paths`` Monte-Carlo paths per point."""
-    points = _grid_points(problem, grid, seed)
-    values = _closed_form_reference(problem, points)
-    if values is not None:
-        return l2_error(net, points, values), 0.0, "closed_form"
-    values, std_errors = mc_reference_grid(problem, points, paths, rng.child_seed(seed, 0xE7A1))
-    return l2_error(net, points, values), noise_floor(std_errors), "monte_carlo"
+    """(l2_error, noise_floor, reference kind) of ``net`` on a ``grid``-point grid
+    against ``learning.reference`` at ``paths`` paths per point."""
+    points = grid_points(problem, grid, rng.child_seeds(seed, 0x671D))
+    values, std_errors, kind = reference(problem, points, paths, rng.child_seed(seed, 0xE7A1))
+    return l2_error(net, points, values), noise_floor(std_errors), kind
 
 
 def cmd_certify(args) -> int:
@@ -158,7 +121,7 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
-    points = _grid_points(problem, args.grid, args.seed)
+    points = grid_points(problem, args.grid, rng.child_seeds(args.seed, 0x671D))
     estimates, std_errors = mc_reference_grid(problem, points, args.paths, args.seed)
     rows = [
         tuple(f"{x:.17g}" for x in row) + (f"{est:.17g}", f"{se:.17g}")
@@ -185,7 +148,8 @@ def cmd_build(args) -> int:
     print(
         f"built n={args.n} network: P(a)={b.param_count}, "
         f"max|theta|={b.theta_norm:.6g}, best retry {report.chosen_retry} "
-        f"(est. L2 {report.retry_errors[report.chosen_retry]:.3e})"
+        f"(est. L2 {report.retry_errors[report.chosen_retry]:.3e}, "
+        f"noise_floor={report.noise_floor:.3e}, {report.reference})"
     )
     print(f"wrote {out_dir / 'built_network.txt'} and {out_dir / 'build_report.csv'}")
     return EXIT_OK

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .learning import l2_error
+from .learning import grid_points, l2_error, noise_floor, reference
 from .nets import ClippedNetwork, Parametrization, compose_average
-from .sde import KolmogorovProblem, extract_affine_batch, mc_reference_grid
+from .sde import KolmogorovProblem, extract_affine_batch
 
 __all__ = ["BuildReport", "BoundsReport", "build_mc_network", "verify_construction_bounds"]
 
@@ -85,6 +85,8 @@ class BuildReport:
     retry_errors: list  # estimated L2 error per retry
     chosen_retry: int
     bounds: BoundsReport  # size and magnitude of the chosen network, with their caps
+    reference: str  # "closed_form" or "monte_carlo", as learning.reference chose
+    noise_floor: float  # of that reference; 0.0 for the closed form
 
 
 def build_mc_network(problem: KolmogorovProblem, n, retries=1, grid_size=64, ref_paths=4000, seed=0):
@@ -93,8 +95,9 @@ def build_mc_network(problem: KolmogorovProblem, n, retries=1, grid_size=64, ref
     n is the Monte-Carlo width, the number of sampled affine maps (guidance:
     n growing like d^tau / eps).  Each of ``retries`` draws n independent
     terminal affine maps with substream drivers, composes them with the
-    payoff network, and estimates the L2 error on a shared seeded reference
-    grid of ``grid_size`` points at ``ref_paths`` paths each; the best retry
+    payoff network, and estimates the L2 error on a shared seeded grid of
+    ``grid_size`` points (``learning.grid_points``) against
+    ``learning.reference`` at ``ref_paths`` paths each; the best retry
     wins.  Each retry's caps are checked as it is built: RuntimeError unless
     ``verify_construction_bounds`` reports the winner's ``all_ok``.
     """
@@ -102,9 +105,6 @@ def build_mc_network(problem: KolmogorovProblem, n, retries=1, grid_size=64, ref
         raise ValueError("n must be >= 1")
     if retries < 1:
         raise ValueError("retries must be >= 1")
-    d = problem.dim
-    grid_key = rng.stream_key(rng.child_seeds(seed, 0xD1CE))
-    grid = rng.hypercube(grid_key, grid_size, d, problem.u, problem.v)
     errors, chosen = [], None  # chosen: (retry, network, bounds) of the least error so far
     for retry in range(retries):
         map_seeds = rng.child_seeds(rng.child_seed(seed, retry + 1), np.arange(n))
@@ -113,14 +113,17 @@ def build_mc_network(problem: KolmogorovProblem, n, retries=1, grid_size=64, ref
         bounds = verify_construction_bounds(candidate, problem.payoff, M, N)
         del M, N  # the maps are not needed to score, so one retry's are held at a time
         if retry == 0:
-            # Drawn only now: freeing the maps raises glibc's adaptive mmap threshold
-            # past the grid's per-point arrays, so they are reused from the heap
+            # Made only now: freeing the maps raises glibc's adaptive mmap threshold
+            # past the reference's per-point arrays, so they are reused from the heap
             # instead of faulted in afresh at each point.  No value moves.
-            ref_vals, _ = mc_reference_grid(problem, grid, ref_paths, rng.child_seed(seed, 0xEF))
+            grid = grid_points(problem, grid_size, rng.child_seeds(seed, 0xD1CE))
+            ref_vals, std_errors, kind = reference(problem, grid, ref_paths,
+                                                   rng.child_seed(seed, 0xEF))
         errors.append(l2_error(ClippedNetwork(candidate, problem.clip_amplitude), grid, ref_vals))
         if chosen is None or errors[-1] < errors[chosen[0]]:  # a tie keeps the first
             chosen = retry, candidate, bounds
     retry, built, bounds = chosen
     if not bounds.all_ok:
         raise RuntimeError(f"construction bounds violated: {bounds}")
-    return built, BuildReport(retry_errors=errors, chosen_retry=retry, bounds=bounds)
+    return built, BuildReport(retry_errors=errors, chosen_retry=retry, bounds=bounds,
+                              reference=kind, noise_floor=noise_floor(std_errors))

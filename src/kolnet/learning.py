@@ -7,8 +7,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .nets import Architecture, ClippedNetwork, Parametrization, _forward
-from .sde import KolmogorovProblem, payoff_samples
+from .analytic import lognormal_capped_put
+from .nets import Architecture, ClippedNetwork, Parametrization, _forward, put_payoff_network
+from .sde import KolmogorovProblem, mc_reference_grid, payoff_samples
 
 __all__ = [
     "Dataset",
@@ -18,6 +19,8 @@ __all__ = [
     "generate_dataset",
     "empirical_risk",
     "train_erm",
+    "grid_points",
+    "reference",
     "l2_error",
     "noise_floor",
     "bias_variance_report",
@@ -192,6 +195,9 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
     D = config.clip_amplitude
     gen = np.random.default_rng(np.random.PCG64(config.seed))
     theta = _init_params(arch, gen, config.constant_only)
+    R = config.parameter_bound
+    if R is not None:  # the initial point is a candidate best too
+        np.clip(theta, -R, R, out=theta)
     grad = np.empty_like(theta)
     layers = tuple(zip(*_layer_views(theta, arch.widths)))
     gWs, gBs = _layer_views(grad, arch.widths)
@@ -203,7 +209,6 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
     p, g = theta[-n_trained:], grad[-n_trained:]
     m1, m2 = np.zeros_like(p), np.zeros_like(p)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    R = config.parameter_bound
 
     def full_risk():
         net = ClippedNetwork(Parametrization(layers), D)
@@ -243,6 +248,37 @@ def train_erm(data: Dataset, config: TrainConfig) -> FitReport:
         trained=trained,
         clip_amplitude=D,
     )
+
+
+def grid_points(problem: KolmogorovProblem, size: int, seed) -> np.ndarray:
+    """Evaluation grid: equispaced on [u, v] at d = 1, else uniform on the
+    hypercube from the stream key of ``seed``."""
+    if problem.dim == 1:
+        return np.linspace(problem.u, problem.v, size)[:, None]
+    return rng.hypercube(rng.stream_key(seed), size, problem.dim, problem.u, problem.v)
+
+
+def reference(problem: KolmogorovProblem, points: np.ndarray, paths: int, seed: int):
+    """F(T, .) at the rows of a (k, d) array: ``(values, std_errors, kind)``.
+
+    The closed form with zero standard errors ("closed_form") for the d = 1
+    GBM capped put on positive prices (u > 0): a (1, 1, 1, 1) payoff every
+    layer of which equals that of ``put_payoff_network(c, D)`` for the c > 0
+    and the clip amplitude D its first layer holds.  Else
+    ``sde.mc_reference_grid`` at ``paths`` paths per point on ``seed``
+    ("monte_carlo").
+    """
+    layers = problem.payoff.layers
+    if problem.gbm_flag and problem.u > 0 and problem.payoff.architecture.widths == (1, 1, 1, 1):
+        c, cap = -float(layers[0][0][0, 0]), float(layers[0][1][0])
+        if c > 0 and cap == problem.clip_amplitude and all(
+                np.array_equal(W, V) and np.array_equal(B, A)
+                for (W, B), (V, A) in zip(layers, put_payoff_network([c], cap).layers)):
+            mu, sig = float(problem.coeffs.A[0, 0]), float(problem.coeffs.C[1, 0, 0])
+            values = lognormal_capped_put(points[:, 0], c, cap, mu, sig, problem.horizon)
+            return values, np.zeros(len(points)), "closed_form"
+    values, std_errors = mc_reference_grid(problem, points, paths, seed)
+    return values, std_errors, "monte_carlo"
 
 
 def l2_error(f: ClippedNetwork, points: np.ndarray, values: np.ndarray) -> float:

@@ -451,15 +451,24 @@ PUT = "arch: 1 1 1 1\nW1\n-1\nB1\n1\nW2\n-1\nB2\n1\nW3\n-1\nB3\n1\n"
 TWO_UNIT_PUT = "arch: 1 2 1\nW1\n-1\n-1\nB1\n1 1\nW2\n0.5 0.5\nB2\n0\n"
 
 
+REFERENCE_CASES = {
+    "not_a_put_file": (NOT_A_PUT, "monte_carlo"),
+    "put_file": (PUT, "closed_form"),
+    "put_spec": (None, "closed_form"),
+    "widths_not_1_1_1_1": (TWO_UNIT_PUT, "monte_carlo"),
+    "cap_not_D": ("payoff: put 1.0 0.5", "monte_carlo"),
+    "negative_weight": ("payoff: put -1.0 1.0", "monte_carlo"),
+}
+
+
 @pytest.mark.parametrize(
-    "payoff, kind",
-    [(NOT_A_PUT, "monte_carlo"), (PUT, "closed_form"), (None, "closed_form"),
-     (TWO_UNIT_PUT, "monte_carlo"), ("payoff: put 1.0 0.5", "monte_carlo"),
-     ("payoff: put -1.0 1.0", "monte_carlo")],
-    ids=["not_a_put_file", "put_file", "put_spec", "widths_not_1_1_1_1", "cap_not_D",
-         "negative_weight"],
+    "command, payoff, kind",
+    [pytest.param(command, payoff, kind, id=prefix + name)
+     for command, prefix in (("evaluate", ""), ("build", "build_"))
+     for name, (payoff, kind) in REFERENCE_CASES.items()],
 )
-def test_closed_form_reference_only_for_the_capped_put(tmp_path, payoff, kind):
+def test_closed_form_reference_only_for_the_capped_put(tmp_path, capsys, command, payoff, kind):
+    # evaluate and build choose their reference by one rule, and say which.
     problem = PUT_D1
     if payoff is not None:
         spec = payoff if payoff.startswith("payoff:") else "payoff_file: payoff.txt"
@@ -471,12 +480,30 @@ def test_closed_form_reference_only_for_the_capped_put(tmp_path, payoff, kind):
         assert values == pytest.approx([0.3, 0.5, 0.5])
     net = tmp_path / "net.txt"
     net.write_text(PUT)
-    code = run([
-        "evaluate", str(problem), str(net), "--seed", "1", "--out-dir", str(tmp_path),
-        "--grid", "4", "--paths", "200",
-    ])
+    argv = ["evaluate", str(problem), str(net)] if command == "evaluate" else [
+        "build", str(problem), "--n", "4", "--retries", "1"]
+    code = run(argv + ["--seed", "1", "--out-dir", str(tmp_path), "--grid", "4", "--paths", "200"])
     assert code == EXIT_OK
-    assert (tmp_path / "evaluation.csv").read_text().splitlines()[2].split(",")[2] == kind
+    assert f"{kind})" in capsys.readouterr().out
+    if command == "evaluate":
+        assert (tmp_path / "evaluation.csv").read_text().splitlines()[2].split(",")[2] == kind
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "build"])
+def test_capped_put_from_price_zero_gets_a_monte_carlo_reference(tmp_path, capsys, command):
+    # lognormal_capped_put refuses prices of 0 and below, so on [0, 1.5]
+    # every pipeline scores against Monte Carlo instead of exiting 2.
+    problem = tmp_path / "p.txt"
+    problem.write_text(GBM_D1.replace("u: 0.5", "u: 0.0"))
+    (tmp_path / "net.txt").write_text(PUT)
+    argv = {"train": ["--m", "200", "--arch", "1,4,1", "--iters", "10", "--eval-every", "10"],
+            "evaluate": [str(tmp_path / "net.txt")],
+            "build": ["--n", "4", "--retries", "1"]}[command]
+    code = run([command, str(problem), *argv, "--seed", "1", "--out-dir", str(tmp_path),
+                "--grid", "4", "--paths", "200"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "monte_carlo" in out and "closed_form" not in out
 
 
 def test_build_violated_cap_is_numeric_failure(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from kolnet.constructive import (
     build_mc_network,
     verify_construction_bounds,
 )
+from kolnet.learning import l2_error
 from kolnet.nets import (
     ClippedNetwork,
     Parametrization,
@@ -84,6 +85,23 @@ def test_build_error_decreases_with_n():
     for n in (16, 256):
         meds.append(np.median([l2_for(n, s) for s in range(3)]))
     assert meds[1] < meds[0]
+
+
+def test_d1_build_scores_against_the_closed_form():
+    # A d = 1 put build scores each retry on the equispaced grid against the
+    # exact capped-put values, as train and evaluate do: no Monte-Carlo noise.
+    prob = put_problem()
+    n, seed = 16, 4
+    _, report = build_mc_network(prob, n=n, retries=3, grid_size=16, ref_paths=100, seed=seed)
+    grid = np.linspace(prob.u, prob.v, 16)[:, None]
+    exact = lognormal_capped_put(grid[:, 0], 1.0, 1.0, 0.0, 0.2, 1.0)
+    want = []
+    for retry in range(3):
+        M, N = extract_affine_batch(prob, rng.child_seeds(rng.child_seed(seed, retry + 1),
+                                                          np.arange(n)))
+        want.append(l2_error(ClippedNetwork(compose_average(prob.payoff, M, N), 1.0), grid, exact))
+    assert report.retry_errors == want
+    assert (report.reference, report.noise_floor) == ("closed_form", 0.0)
 
 
 def test_build_report_bounds_hold():

@@ -363,6 +363,19 @@ def test_train_projection_bounds_parameters():
     assert report.trained.max_norm() <= 0.25 + 1e-15
 
 
+@pytest.mark.parametrize("iterations", [0, 1, 5])
+def test_train_projects_the_initial_parameters(iterations):
+    # The Glorot weights of this (1, 16, 1) net reach 0.59, and at this seed
+    # the initial parameters stay the least-risk ones seen however many steps
+    # follow: what is returned is the initial point, so it must be projected.
+    data = generate_dataset(put_problem(), 1000, seed=0)
+    cfg = TrainConfig(
+        architecture=Architecture((1, 16, 1)), clip_amplitude=1.0,
+        parameter_bound=0.01, step_size=1e-6, iterations=iterations,
+    )
+    assert train_erm(data, cfg).trained.max_norm() <= 0.01
+
+
 def test_trained_outputs_clipped():
     prob = put_problem(D=1.0)
     data = generate_dataset(prob, 1000, seed=16)
@@ -394,6 +407,9 @@ def _reference_train(data, cfg):
         else:
             Ws.append(gen.uniform(-bound, bound, size=(w[l], w[l - 1])))
         Bs.append(np.zeros(w[l]))
+    if R is not None:
+        for W in Ws:
+            np.clip(W, -R, R, out=W)
 
     def forward(X):
         pre, h = [], X
